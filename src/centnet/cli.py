@@ -118,7 +118,7 @@ def _cmd_attack(args) -> int:
     if args.seed is not None:
         config.attack.rng_seed = args.seed
     g = cio.parse_edge_list(config.input_path, directed=config.directed)
-    result = run_experiment(config.attack, g, threads=args.threads)
+    result = run_experiment(config.attack, g)
     payload = cio.emit_results(result.rows, config.output_format,
                                config.output_path)
     if config.output_path is None:
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignored; the config names the input")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("bench", help="median per-metric wall time")

@@ -13,6 +13,7 @@ from .graph import (
     components,
     max_flow,
     power_iteration,
+    require_dense,
     shortest_paths,
     solve_linear,
 )
@@ -183,6 +184,7 @@ def flow_betweenness(g: Graph, normalized: bool = False,
 def _grounded_inverse(g: Graph, nodes: list[int]) -> np.ndarray:
     """Inverse of the weighted Laplacian on `nodes` with the last node
     grounded, embedded back as an n x n matrix (zero row/column)."""
+    require_dense(g.n, "grounded Laplacian inverse")
     idx = {v: i for i, v in enumerate(nodes)}
     k = len(nodes)
     lap = np.zeros((k, k))
@@ -268,19 +270,6 @@ def current_flow_closeness(g: Graph,
                     total += tmat[v, v] + tmat[w, w] - 2 * tmat[v, w]
             vals[v] = nc / total
     return score_vector("current-flow-closeness", vals)
-
-
-def flow_family(g: Graph, metric: str, normalized: bool = False,
-                per_component: bool = False,
-                pair_distance_cap: int | None = None) -> ScoreVector:
-    if metric == "flow-betweenness":
-        return flow_betweenness(g, normalized=normalized,
-                                pair_distance_cap=pair_distance_cap)
-    if metric == "current-flow-betweenness":
-        return current_flow_betweenness(g, per_component=per_component)
-    if metric == "current-flow-closeness":
-        return current_flow_closeness(g, per_component=per_component)
-    raise GraphInputError(f"unknown flow metric {metric!r}")
 
 
 def random_walk_betweenness(g: Graph) -> ScoreVector:
@@ -393,6 +382,7 @@ def information_centrality(g: Graph) -> ScoreVector:
             "information centrality needs an undirected graph")
     _require_connected(g, "information centrality")
     n = g.n
+    require_dense(n, "information centrality")
     if n < 2:
         return score_vector("information", [0.0] * n)
     a = g.adjacency_matrix()

@@ -3,7 +3,13 @@
 Everything downstream (metric families, group selection, attack
 simulation) builds on the primitives here: single-source shortest paths
 with path counts, connected components, unit-capacity max flow with a
-deterministic augmenting order, power iteration, and dense linear solves.
+deterministic augmenting order, and the linear-algebra layer.
+
+The linear-algebra layer has three parts. `Graph.adjacency` returns the
+graph as a scipy.sparse CSR operator. `fixed_point` is the one loop that
+iterates a step map until successive iterates agree in the sup norm;
+`power_iteration` runs it with an L2-normalising step. Dense solves and
+eigendecompositions pass `require_dense` before they allocate.
 """
 
 from __future__ import annotations
@@ -12,15 +18,17 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     ConvergenceError,
     GraphInputError,
     SingularMatrixError,
+    SizeCapError,
 )
 
 INF = math.inf
@@ -96,29 +104,28 @@ class Graph:
             return int(label)
         return self._label_to_id[label]
 
+    def adjacency(self, weighted: bool = True) -> scipy.sparse.csr_matrix:
+        """Sparse adjacency, built per call: A[u, v] = w for an arc u->v
+        (1 when not `weighted`); symmetric when undirected."""
+        indptr = np.cumsum([0] + [len(a) for a in self.adj])
+        arcs = np.array([arc for a in self.adj for arc in a],
+                        dtype=float).reshape(-1, 2)
+        data = arcs[:, 1] if weighted else np.ones(len(arcs))
+        return scipy.sparse.csr_matrix(
+            (data, arcs[:, 0].astype(np.int64), indptr),
+            shape=(self.n, self.n))
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense weighted adjacency; A[u][v] = w for an arc u->v."""
-        a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v, w in self.adj[u]:
-                a[u, v] = w
-        return a
+        require_dense(self.n, "dense adjacency")
+        return self.adjacency().toarray()
 
-    def neighbor_sets(self) -> list[set]:
-        """Out-neighbor sets, cached per call site (graph is immutable)."""
-        return [set(self.neighbors(v)) for v in range(self.n)]
 
-    def induced(self, nodes) -> tuple["Graph", list[int]]:
-        """Subgraph on `nodes`; returns (graph, original ids in new order)."""
-        keep = sorted(set(nodes))
-        pos = {v: i for i, v in enumerate(keep)}
-        arcs = []
-        for v in keep:
-            for u, w in self.adj[v]:
-                if u in pos and (self.directed or v < u):
-                    arcs.append((pos[v], pos[u], w))
-        sub = graph_from_arcs(len(keep), self.directed, arcs)
-        return sub, keep
+def require_dense(n: int, what: str):
+    """Refuse an n x n dense computation beyond DENSE_CAP."""
+    if n > DENSE_CAP:
+        raise SizeCapError(f"{what}: order {n} exceeds the dense cap "
+                           f"{DENSE_CAP}")
 
 
 def build_graph(edges, directed: bool = False, isolated=(),
@@ -168,28 +175,16 @@ def build_graph(edges, directed: bool = False, isolated=(),
     for lbl in isolated:
         intern(lbl)
 
-    n = len(labels)
-    out: list[list] = [[] for _ in range(n)]
-    inn: list[list] = [[] for _ in range(n)]
-    for u, v, w in arcs:
-        out[u].append((v, w))
-        inn[v].append((u, w))
-        if not directed:
-            out[v].append((u, w))
-            inn[u].append((v, w))
-    adj = tuple(tuple(sorted(a)) for a in out)
-    in_adj = adj if not directed else tuple(tuple(sorted(a)) for a in inn)
-
     coords = None
     if coordinates is not None:
         coords = tuple(tuple(map(float, coordinates[lbl])) for lbl in labels)
 
     plain = all(lbl == i for i, lbl in enumerate(labels))
-    return Graph(n=n, directed=directed, adj=adj, in_adj=in_adj,
-                 labels=None if plain else tuple(labels),
-                 coords=coords, self_loops_dropped=loops,
-                 duplicates_collapsed=dups,
-                 _label_to_id=label_to_id if not plain else {})
+    return replace(
+        graph_from_arcs(len(labels), directed, arcs, coords),
+        labels=None if plain else tuple(labels),
+        self_loops_dropped=loops, duplicates_collapsed=dups,
+        _label_to_id=label_to_id if not plain else {})
 
 
 def graph_from_arcs(n: int, directed: bool, arcs,
@@ -508,6 +503,26 @@ def max_flow(g: Graph, s: int, t: int) -> MaxFlowResult:
 # -- spectral / linear substrate -----------------------------------------
 
 
+def fixed_point(step, x0, tol: float, max_iter: int, what: str):
+    """Iterate x <- step(x) from `x0` until successive iterates differ
+    by less than `tol` in the sup norm; returns the last iterate.
+
+    Raises ConvergenceError, carrying the last gap, when `max_iter`
+    steps do not get there.
+    """
+    x = x0
+    gap = INF
+    for _ in range(max_iter):
+        y = step(x)
+        gap = float(np.max(np.abs(y - x), initial=0.0))
+        x = y
+        if gap < tol:
+            return x
+    raise ConvergenceError(
+        f"{what} did not converge in {max_iter} iterations "
+        f"(last gap {gap:.3e})", residual=gap)
+
+
 def power_iteration(matvec, init, tol: float = 1e-10,
                     max_iter: int = 100000) -> tuple[float, np.ndarray]:
     """Principal eigenpair of a non-negative linear action.
@@ -519,44 +534,37 @@ def power_iteration(matvec, init, tol: float = 1e-10,
     x = np.asarray(init, dtype=float)
     if x.ndim != 1 or np.any(x <= 0):
         raise GraphInputError("power iteration needs a strictly positive init")
-    x = x / np.linalg.norm(x)
-    gap = INF
-    for _ in range(max_iter):
+
+    def step(x):
         y = np.asarray(matvec(x), dtype=float)
         norm = np.linalg.norm(y)
-        if norm == 0.0:
-            # action annihilates the iterate; eigenvalue 0, keep direction
-            return 0.0, x
-        y /= norm
-        gap = np.max(np.abs(y - x))
-        x = y
-        if gap < tol:
-            lam = float(np.dot(x, np.asarray(matvec(x), dtype=float)))
-            return lam, x
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last gap {gap:.3e})", residual=gap)
+        # an action that annihilates the iterate leaves it fixed, with
+        # eigenvalue 0
+        return y / norm if norm else x
+
+    x = fixed_point(step, x / np.linalg.norm(x), tol, max_iter,
+                    "power iteration")
+    return float(np.dot(x, np.asarray(matvec(x), dtype=float))), x
 
 
-def spectral_radius(g: Graph, tol: float = 1e-12,
+def spectral_radius(g: Graph, tol: float = 1e-10,
                     max_iter: int = 100000) -> float:
-    """Largest adjacency eigenvalue via shifted power iteration.
+    """Largest adjacency eigenvalue magnitude.
 
-    The +I shift makes the iteration converge on bipartite/periodic
-    graphs without changing eigenvectors.
+    Undirected graphs power-iterate the sparse operator with a +I shift,
+    which converges on bipartite/periodic graphs too. The Rayleigh
+    quotient is exact to working precision at `tol` 1e-10; a tighter
+    `tol` can sit below the rounding noise of a hub's long row sum.
+    Directed graphs use a dense eigensolve under the dense cap.
     """
     if g.n == 0:
         return 0.0
-    a = g.adjacency_matrix()
     if not g.directed:
-        shifted = a + np.eye(g.n)
-        lam, _ = power_iteration(lambda x: shifted @ x, np.ones(g.n),
+        a = g.adjacency()
+        lam, _ = power_iteration(lambda x: x + a @ x, np.ones(g.n),
                                  tol=tol, max_iter=max_iter)
         return lam - 1.0
-    # directed: power-iterate A^T A to get sigma_max bound... use the
-    # symmetrized walk matrix only as a fallback; dense graphs here are
-    # desk-scale so a direct eigensolve is fine.
-    ev = np.linalg.eigvals(a)
+    ev = np.linalg.eigvals(g.adjacency_matrix())
     return float(np.max(np.abs(ev)))
 
 
@@ -570,9 +578,7 @@ def solve_linear(m, b=None):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphInputError("solve_linear needs a square matrix")
     n = m.shape[0]
-    if n > DENSE_CAP:
-        raise GraphInputError(
-            f"matrix order {n} exceeds the dense cap {DENSE_CAP}")
+    require_dense(n, "linear solve")
     lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     diag = np.abs(np.diag(lu))
     scale = max(np.max(np.abs(m)), 1.0)

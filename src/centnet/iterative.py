@@ -1,4 +1,12 @@
-"""Point centralities defined as fixed points or decomposition sweeps."""
+"""Point centralities defined as fixed points or decomposition sweeps.
+
+Each fixed-point metric is a sparse operator built from
+`Graph.adjacency` plus a step map: the eigenvector-style metrics run
+`power_iteration` on I + M, and PageRank, cumulative nomination,
+LeaderRank, HITS and SALSA hand their own step to `fixed_point`.
+Diffusion is a fixed number of sparse products, and Katz and subgraph
+centrality are dense solves under the dense cap.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +14,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .errors import (
-    ConvergenceError,
-    GraphInputError,
-    UnsupportedGraphError,
+from .errors import GraphInputError, UnsupportedGraphError
+from .graph import (
+    Graph,
+    fixed_point,
+    power_iteration,
+    require_dense,
+    solve_linear,
+    spectral_radius,
 )
-from .graph import DENSE_CAP, Graph, power_iteration, spectral_radius
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -108,32 +120,54 @@ def mixed_degree_decomposition(g: Graph,
 def coreness_family(g: Graph, variant: str = "nc") -> ScoreVector:
     """Neighborhood coreness: sum of neighbor shell indices (nc) or of
     neighbor nc values (nc-plus)."""
-    shell = k_shell(g).shell_index
-    nc = [float(sum(shell[u] for u in g.all_neighbors(v)))
-          for v in range(g.n)]
+    a = g.adjacency(weighted=False)
+    nbr = (a + a.T).sign()      # neighbor sets, direction ignored
+    nc = nbr @ np.array(k_shell(g).shell_index, dtype=float)
     if variant == "nc":
         return score_vector("nc", nc)
     if variant == "nc-plus":
-        ncp = [float(sum(nc[u] for u in g.all_neighbors(v)))
-               for v in range(g.n)]
-        return score_vector("nc-plus", ncp)
+        return score_vector("nc-plus", nbr @ nc)
     raise GraphInputError(f"unknown coreness variant {variant!r}")
 
 
 # -- eigen-style fixed points ---------------------------------------------
 
 
-def _agg_lists(g: Graph, aggregate: str):
-    """Adjacency used for score aggregation at a node.
+def _aggregation(g: Graph, aggregate: str = "in", weighted: bool = True,
+                 dissimilarity: bool = False) -> scipy.sparse.csr_matrix:
+    """Sparse operator M with (M x)_v = sum of w * x_u over the nodes u
+    that v aggregates scores from.
 
-    Directed graphs default to in-neighbors (prestige reading); the
-    'out' flag flips to out-neighbors.
+    Directed graphs aggregate over in-neighbors (the prestige reading);
+    aggregate='out' flips to out-neighbors. `weighted=False` counts each
+    arc once. `dissimilarity` scales each entry by the Jaccard
+    dissimilarity of the two endpoints' undirected neighborhoods.
     """
-    if not g.directed or aggregate == "in":
-        return g.in_adj
-    if aggregate == "out":
-        return g.adj
-    raise GraphInputError(f"unknown aggregation {aggregate!r}")
+    a = g.adjacency(weighted)
+    if not g.directed or aggregate == "out":
+        m = a
+    elif aggregate == "in":
+        m = a.T.tocsr()
+    else:
+        raise GraphInputError(f"unknown aggregation {aggregate!r}")
+    if dissimilarity:
+        nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+        m = m.tocoo()
+        jaccard = [len(nbr[u] & nbr[v]) / len(nbr[u] | nbr[v])
+                   for u, v in zip(m.row.tolist(), m.col.tolist())]
+        m = scipy.sparse.csr_matrix(
+            (m.data * (1.0 - np.array(jaccard)), (m.row, m.col)),
+            shape=m.shape)
+    return m
+
+
+def _principal(m, params: MetricParams) -> np.ndarray:
+    """L2-unit principal eigenvector of I + M from the all-ones start;
+    the +I shift keeps the iteration convergent on bipartite/periodic
+    graphs without moving the eigenvector."""
+    _, vec = power_iteration(lambda x: x + m @ x, np.ones(m.shape[0]),
+                             tol=params.tol, max_iter=params.max_iter)
+    return vec
 
 
 def eigen_family(g: Graph, metric: str,
@@ -159,24 +193,13 @@ def _eigenvector(g: Graph, params: MetricParams,
                  aggregate: str) -> ScoreVector:
     if g.n == 0:
         return score_vector("eigenvector", [])
-    lists = _agg_lists(g, aggregate)
-
-    def action(x):
-        # +I shift keeps the iteration convergent on bipartite/periodic
-        # graphs without moving the eigenvector
-        y = x.copy()
-        for v in range(g.n):
-            y[v] += sum(w * x[u] for u, w in lists[v])
-        return y
-
-    _, vec = power_iteration(action, np.ones(g.n),
-                             tol=params.tol, max_iter=params.max_iter)
+    vec = _principal(_aggregation(g, aggregate), params)
     return score_vector("eigenvector", vec,
                         {"aggregate": aggregate if g.directed else "n/a"})
 
 
 def _katz(g: Graph, params: MetricParams, aggregate: str) -> ScoreVector:
-    from .graph import solve_linear
+    require_dense(g.n, "katz")
     lam = spectral_radius(g)
     alpha = params.alpha
     if alpha is None:
@@ -185,11 +208,7 @@ def _katz(g: Graph, params: MetricParams, aggregate: str) -> ScoreVector:
     if lam > 0 and alpha >= 1.0 / lam:
         raise GraphInputError(
             f"katz alpha {alpha} must be below 1/lambda_max = {1.0 / lam:.6g}")
-    lists = _agg_lists(g, aggregate)
-    m = np.eye(g.n)
-    for v in range(g.n):
-        for u, w in lists[v]:
-            m[v, u] -= alpha * w
+    m = np.eye(g.n) - alpha * _aggregation(g, aggregate).toarray()
     x = solve_linear(m, np.full(g.n, beta))
     return score_vector("katz", x, {"alpha": alpha, "beta": beta})
 
@@ -203,21 +222,14 @@ def _pagerank(g: Graph, params: MetricParams,
     n = g.n
     if n == 0:
         return score_vector("pagerank", [])
-    outdeg = [max(g.out_degree(v), 1) for v in range(n)]
-    x = [beta] * n
-    for it in range(params.max_iter):
-        nxt = [beta + alpha * sum(x[u] / outdeg[u]
-                                  for u, _ in g.in_adj[v])
-               for v in range(n)]
-        gap = max(abs(a - b) for a, b in zip(nxt, x))
-        x = nxt
-        if gap < params.tol:
-            break
-    else:
-        raise ConvergenceError("pagerank did not converge", residual=gap)
+    a = g.adjacency(weighted=False)
+    m = a.T.tocsr()
+    outdeg = np.maximum(np.diff(a.indptr), 1)
+    x = fixed_point(lambda x: beta + alpha * (m @ (x / outdeg)),
+                    np.full(n, beta), params.tol, params.max_iter,
+                    "pagerank")
     if normalized:
-        s = sum(x)
-        x = [v / s for v in x]
+        x = x / x.sum()
     return score_vector("pagerank", x, {"alpha": alpha, "beta": beta,
                                         "normalized": normalized})
 
@@ -227,31 +239,10 @@ def pagerank(g: Graph, params: MetricParams | None = None,
     return _pagerank(g, params or MetricParams(), normalized)
 
 
-def _jaccard_dissimilarity(g: Graph) -> dict:
-    nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
-    out = {}
-    for v in range(g.n):
-        for u in g.all_neighbors(v):
-            inter = len(nbr[u] & nbr[v])
-            union = len(nbr[u] | nbr[v])
-            out[(u, v)] = 1.0 - (inter / union if union else 0.0)
-    return out
-
-
 def _contribution(g: Graph, params: MetricParams) -> ScoreVector:
     if g.n == 0:
         return score_vector("contribution", [])
-    dis = _jaccard_dissimilarity(g)
-    lists = g.in_adj if g.directed else g.adj
-
-    def action(x):
-        y = x.copy()
-        for v in range(g.n):
-            y[v] += sum(w * dis[(u, v)] * x[u] for u, w in lists[v])
-        return y
-
-    _, vec = power_iteration(action, np.ones(g.n),
-                             tol=params.tol, max_iter=params.max_iter)
+    vec = _principal(_aggregation(g, dissimilarity=True), params)
     return score_vector("contribution", vec)
 
 
@@ -259,18 +250,15 @@ def _cumulative_nomination(g: Graph, params: MetricParams) -> ScoreVector:
     n = g.n
     if n == 0:
         return score_vector("cumulative-nomination", [])
-    lists = g.in_adj if g.directed else g.adj
-    p = [1.0 / n] * n
-    for it in range(params.max_iter):
-        raw = [p[v] + sum(p[u] for u, _ in lists[v]) for v in range(n)]
-        total = sum(raw)
-        nxt = [x / total for x in raw]
-        gap = max(abs(a - b) for a, b in zip(nxt, p))
-        p = nxt
-        if gap < params.tol:
-            return score_vector("cumulative-nomination", p)
-    raise ConvergenceError("cumulative nomination did not converge",
-                           residual=gap)
+    m = _aggregation(g, weighted=False)
+
+    def step(p):
+        raw = p + m @ p
+        return raw / raw.sum()
+
+    p = fixed_point(step, np.full(n, 1.0 / n), params.tol, params.max_iter,
+                    "cumulative nomination")
+    return score_vector("cumulative-nomination", p)
 
 
 def _dynamical_influence(g: Graph, params: MetricParams) -> ScoreVector:
@@ -278,22 +266,18 @@ def _dynamical_influence(g: Graph, params: MetricParams) -> ScoreVector:
     normalized to sum 1."""
     if g.n == 0:
         return score_vector("dynamical-influence", [])
-
-    def action(x):
-        # left eigenvector of A = right eigenvector of A^T; shift as usual
-        y = x.copy()
-        for u in range(g.n):
-            for v, w in g.adj[u]:
-                y[v] += w * x[u]
-        return y
-
-    _, vec = power_iteration(action, np.ones(g.n),
-                             tol=params.tol, max_iter=params.max_iter)
-    s = float(np.sum(vec))
-    return score_vector("dynamical-influence", vec / s)
+    # left eigenvector of A = right eigenvector of A^T: the in-aggregation
+    # operator, as for eigenvector centrality
+    vec = _principal(_aggregation(g), params)
+    return score_vector("dynamical-influence", vec / vec.sum())
 
 
 # -- HITS and SALSA --------------------------------------------------------
+
+
+def _unit(x):
+    norm = np.linalg.norm(x)
+    return x / norm if norm > 0 else x
 
 
 def hits(g: Graph, tol: float = 1e-10,
@@ -307,33 +291,17 @@ def hits(g: Graph, tol: float = 1e-10,
         warnings.warn("hits on an edgeless graph: uniform fallback")
         u = [1.0 / np.sqrt(n)] * n if n else []
         return (score_vector("authority", u), score_vector("hub", u))
-    auth = np.full(n, 1.0 / np.sqrt(n))
-    hub = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
-        new_auth = np.zeros(n)
-        for u in range(n):
-            for v, w in g.adj[u]:
-                new_auth[v] += w * hub[u]
-        na = np.linalg.norm(new_auth)
-        if na > 0:
-            new_auth /= na
-        new_hub = np.zeros(n)
-        for u in range(n):
-            hv = 0.0
-            for v, w in g.adj[u]:
-                hv += w * new_auth[v]
-            new_hub[u] = hv
-        nh = np.linalg.norm(new_hub)
-        if nh > 0:
-            new_hub /= nh
-        gap = max(np.max(np.abs(new_auth - auth)),
-                  np.max(np.abs(new_hub - hub)))
-        auth, hub = new_auth, new_hub
-        if gap < tol:
-            break
-    else:
-        raise ConvergenceError("hits did not converge", residual=gap)
-    return (score_vector("authority", auth), score_vector("hub", hub))
+    a = g.adjacency()
+    at = a.T.tocsr()
+
+    def step(z):
+        # z stacks (authority, hub); each update reads the newest other
+        auth = _unit(at @ z[n:])
+        return np.concatenate([auth, _unit(a @ auth)])
+
+    z = fixed_point(step, np.full(2 * n, 1.0 / np.sqrt(n)), tol, max_iter,
+                    "hits")
+    return (score_vector("authority", z[:n]), score_vector("hub", z[n:]))
 
 
 def salsa(g: Graph, tol: float = 1e-10,
@@ -342,56 +310,27 @@ def salsa(g: Graph, tol: float = 1e-10,
     hub/authority expansion; each side sums to 1, absent nodes score 0."""
     if not g.directed:
         raise UnsupportedGraphError("salsa needs a directed graph")
-    n = g.n
-    outdeg = [g.out_degree(v) for v in range(n)]
-    indeg = [g.in_degree(v) for v in range(n)]
-    hub_side = [v for v in range(n) if outdeg[v] > 0]
-    auth_side = [v for v in range(n) if indeg[v] > 0]
+    a = g.adjacency(weighted=False)
+    at = a.T.tocsr()
+    outdeg = np.diff(a.indptr)
+    indeg = np.diff(at.indptr)
 
-    def step_hub(pi):
-        mid = [0.0] * n
-        for u in hub_side:
-            share = pi[u] / outdeg[u]
-            for x, _ in g.adj[u]:
-                mid[x] += share
-        out = [0.0] * n
-        for x in auth_side:
-            share = mid[x] / indeg[x]
-            for v, _ in g.in_adj[x]:
-                out[v] += share
-        return out
+    def stationary(side_deg, there, other_deg, back):
+        # walk a side node along `there` to the other side and `back`
+        side = side_deg > 0
+        if not side.any():
+            return np.zeros(g.n)
+        first = np.maximum(side_deg, 1)
+        second = np.maximum(other_deg, 1)
 
-    def step_auth(pi):
-        mid = [0.0] * n
-        for u in auth_side:
-            share = pi[u] / indeg[u]
-            for x, _ in g.in_adj[u]:
-                mid[x] += share
-        out = [0.0] * n
-        for x in hub_side:
-            share = mid[x] / outdeg[x]
-            for v, _ in g.adj[x]:
-                out[v] += share
-        return out
+        def step(pi):
+            nxt = back @ ((there @ (pi / first)) / second)
+            return nxt / nxt.sum()
 
-    def stationary(side, step):
-        if not side:
-            return [0.0] * n
-        pi = [0.0] * n
-        for v in side:
-            pi[v] = 1.0 / len(side)
-        for _ in range(max_iter):
-            nxt = step(pi)
-            total = sum(nxt)
-            nxt = [x / total for x in nxt]
-            gap = max(abs(a - b) for a, b in zip(nxt, pi))
-            pi = nxt
-            if gap < tol:
-                return pi
-        raise ConvergenceError("salsa did not converge", residual=gap)
+        return fixed_point(step, side / side.sum(), tol, max_iter, "salsa")
 
-    hub_scores = stationary(hub_side, step_hub)
-    auth_scores = stationary(auth_side, step_auth)
+    hub_scores = stationary(outdeg, at, indeg, a)
+    auth_scores = stationary(indeg, a, outdeg, at)
     return (score_vector("salsa-authority", auth_scores),
             score_vector("salsa-hub", hub_scores))
 
@@ -404,23 +343,18 @@ def leader_rank(g: Graph, tol: float = 1e-10,
     n = g.n
     if n == 0:
         return score_vector("leaderrank", [])
-    ground = n
-    outdeg = [g.out_degree(v) + 1 for v in range(n)] + [n]
-    s = [1.0] * n + [0.0]
-    for _ in range(max_iter):
-        nxt = [0.0] * (n + 1)
-        for v in range(n):
-            nxt[v] = s[ground] / n + sum(s[u] / outdeg[u]
-                                         for u, _ in g.in_adj[v])
-        nxt[ground] = sum(s[v] / outdeg[v] for v in range(n))
-        gap = max(abs(a - b) for a, b in zip(nxt, s))
-        s = nxt
-        if gap < tol:
-            break
-    else:
-        raise ConvergenceError("leaderrank did not converge", residual=gap)
-    final = [s[v] + s[ground] / n for v in range(n)]
-    return score_vector("leaderrank", final)
+    a = g.adjacency(weighted=False)
+    m = a.T.tocsr()
+    outdeg = np.diff(a.indptr) + 1.0
+
+    def step(s):
+        # s[n] is the ground node, linked both ways to every node
+        share = s[:n] / outdeg
+        return np.append(s[n] / n + m @ share, share.sum())
+
+    s = fixed_point(step, np.append(np.ones(n), 0.0), tol, max_iter,
+                    "leaderrank")
+    return score_vector("leaderrank", s[:n] + s[n] / n)
 
 
 # -- walk-sum metrics -------------------------------------------------------
@@ -432,14 +366,12 @@ def diffusion_centrality(g: Graph, q: float = 0.1, T: int = 10) -> ScoreVector:
         raise GraphInputError("q must lie in (0,1]")
     if T < 1:
         raise GraphInputError("T must be >= 1")
-    n = g.n
-    x = [1.0] * n
-    acc = [0.0] * n
+    a = g.adjacency()
+    x = np.ones(g.n)
+    acc = np.zeros(g.n)
     for _ in range(T):
-        nxt = [q * sum(w * x[u] for u, w in g.adj[v]) for v in range(n)]
-        x = nxt
-        for v in range(n):
-            acc[v] += x[v]
+        x = q * (a @ x)
+        acc += x
     return score_vector("diffusion", acc, {"q": q, "T": T})
 
 
@@ -448,9 +380,7 @@ def subgraph_centrality(g: Graph) -> ScoreVector:
     if g.directed:
         raise UnsupportedGraphError(
             "subgraph centrality needs an undirected graph")
-    if g.n > DENSE_CAP:
-        raise GraphInputError(
-            f"subgraph centrality is dense-only (n <= {DENSE_CAP})")
+    require_dense(g.n, "subgraph centrality")
     if g.n == 0:
         return score_vector("subgraph", [])
     a = g.adjacency_matrix()

@@ -89,9 +89,6 @@ class MetricParams:
             _check(all(0.0 <= x <= 1.0 for x in self.percolation_states),
                    "percolation states must lie in [0,1]")
 
-    def digest_of(self, *names) -> str:
-        return params_digest({k: getattr(self, k) for k in sorted(names)})
-
     @classmethod
     def field_names(cls) -> set[str]:
         return {f.name for f in fields(cls)}

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import GraphInputError
@@ -208,16 +207,15 @@ def _resolve_ordering(g: Graph, source, plan: AttackPlan):
         result = registry.run_strategy(g, source["strategy"], budget,
                                        source.get("params") or {})
         order = list(result.seeds)
-        rest = [v for v in range(g.n) if v not in set(order)]
-        return order + rest
+        chosen = set(order)
+        return order + [v for v in range(g.n) if v not in chosen]
     metric_id = source if isinstance(source, str) else source["metric"]
     overrides = {} if isinstance(source, str) else (source.get("params") or {})
     scores = registry.compute_point_metric(g, metric_id, overrides)
     return rank_targets(scores)
 
 
-def run_experiment(plan: AttackPlan, g: Graph,
-                   threads: int = 1) -> ExperimentResult:
+def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
     """Execute a plan: per-source rankings, per-run simulations,
     per-(source, phi) mean and standard deviation."""
     rows: list[AttackOutcome] = []
@@ -230,42 +228,30 @@ def run_experiment(plan: AttackPlan, g: Graph,
         except Exception as exc:    # per-metric failure: record, continue
             errors.append((name, f"{type(exc).__name__}: {exc}"))
             continue
-
-        def one_run(run: int, ordering=ordering, name=name):
-            out = []
-            rng = random.Random(plan.rng_seed + run)
+        for run in range(plan.runs):
             order = ordering
             if order is None:
                 order = list(range(n))
-                rng.shuffle(order)
+                random.Random(plan.rng_seed + run).shuffle(order)
             if plan.kind == "non-infectious":
                 for row in non_infectious_attack(
                         g, ordering=order,
                         phi_grid=plan.phi_grid, metric=name):
                     row.run = run
-                    out.append(row)
-            else:
-                for phi in plan.phi_grid:
-                    k = removal_count(phi, n)
-                    if k == 0:
-                        giant = components(g).giant_size / n if n else 0.0
-                        out.append(AttackOutcome(name, phi, run, giant,
-                                                 seeds=0, infected_total=0,
-                                                 node_states=["S"] * n))
-                        continue
-                    out.append(infectious_attack(
-                        g, order[:k], plan.beta,
-                        rng_seed=plan.rng_seed + run, metric=name,
-                        phi=phi, run=run))
-            return out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for chunk in pool.map(one_run, range(plan.runs)):
-                    rows.extend(chunk)
-        else:
-            for run in range(plan.runs):
-                rows.extend(one_run(run))
+                    rows.append(row)
+                continue
+            for phi in plan.phi_grid:
+                k = removal_count(phi, n)
+                if k == 0:
+                    giant = components(g).giant_size / n if n else 0.0
+                    rows.append(AttackOutcome(name, phi, run, giant,
+                                              seeds=0, infected_total=0,
+                                              node_states=["S"] * n))
+                    continue
+                rows.append(infectious_attack(
+                    g, order[:k], plan.beta,
+                    rng_seed=plan.rng_seed + run, metric=name,
+                    phi=phi, run=run))
 
     summary: dict = {}
     buckets: dict = {}

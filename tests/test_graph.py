@@ -9,6 +9,7 @@ from centnet import (
     ConvergenceError,
     GraphInputError,
     SingularMatrixError,
+    SizeCapError,
     build_graph,
     components,
     max_flow,
@@ -16,6 +17,10 @@ from centnet import (
     shortest_paths,
     solve_linear,
 )
+from centnet import iterative
+from centnet.globalmetrics import information_centrality
+from centnet.graph import DENSE_CAP, spectral_radius
+from centnet.iterative import eigen_family, subgraph_centrality
 from conftest import complete_graph, path_graph, star_graph
 from _synth import er_graph
 
@@ -279,6 +284,54 @@ class TestSolveLinear:
         b = rng.normal(size=20)
         x = solve_linear(m, b)
         assert np.max(np.abs(m @ x - b)) < 1e-8 * max(np.max(np.abs(b)), 1)
+
+
+class TestDenseCap:
+    """Dense paths refuse n > DENSE_CAP with SizeCapError before they
+    allocate an n x n matrix."""
+
+    big = DENSE_CAP + 1
+
+    def test_adjacency_matrix(self):
+        with pytest.raises(SizeCapError):
+            path_graph(self.big).adjacency_matrix()
+
+    def test_sparse_adjacency_is_uncapped(self):
+        a = path_graph(self.big).adjacency()
+        assert a.shape == (self.big, self.big) and a.nnz == 2 * self.big - 2
+
+    def test_solve_linear(self):
+        m = np.broadcast_to(np.float64(1.0), (self.big, self.big))
+        with pytest.raises(SizeCapError):
+            solve_linear(m, np.ones(self.big))
+
+    def test_information(self):
+        with pytest.raises(SizeCapError):
+            information_centrality(path_graph(self.big))
+
+    def test_subgraph(self):
+        with pytest.raises(SizeCapError):
+            subgraph_centrality(path_graph(self.big))
+
+    def test_katz_before_spectral_radius(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("spectral radius computed past the cap")
+        monkeypatch.setattr(iterative, "spectral_radius", fail)
+        for directed in (False, True):
+            g = build_graph([(i, i + 1) for i in range(self.big - 1)],
+                            directed=directed)
+            with pytest.raises(SizeCapError):
+                eigen_family(g, "katz")
+
+    def test_directed_spectral_radius(self):
+        g = build_graph([(i, i + 1) for i in range(self.big - 1)],
+                        directed=True)
+        with pytest.raises(SizeCapError):
+            spectral_radius(g)
+
+    def test_undirected_spectral_radius_is_sparse(self):
+        assert spectral_radius(star_graph(self.big)) == \
+            pytest.approx(math.sqrt(self.big - 1), rel=1e-9)
 
 
 def test_phone_book_shapes():

@@ -217,6 +217,13 @@ class TestCli:
         rc = cli_mod.main(["centrality", str(f), "--metric", "information"])
         assert rc == 2
 
+    def test_dense_cap_exit2(self, tmp_path, capsys):
+        f = tmp_path / "long_path.txt"
+        f.write_text("".join(f"{i} {i + 1}\n" for i in range(5000)))
+        rc = cli_mod.main(["centrality", str(f), "--metric", "information"])
+        assert rc == 2
+        assert "dense cap" in capsys.readouterr().err
+
     def test_graph_metric(self, p3_file, capsys):
         rc = cli_mod.main(["graph-metric", p3_file, "--metric",
                            "global-clustering"])
