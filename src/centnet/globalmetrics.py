@@ -183,22 +183,18 @@ def flow_betweenness(g: Graph, normalized: bool = False,
 
 def _grounded_inverse(g: Graph, nodes: list[int]) -> np.ndarray:
     """Inverse of the weighted Laplacian on `nodes` with the last node
-    grounded, embedded back as an n x n matrix (zero row/column)."""
-    require_dense(g.n, "grounded Laplacian inverse")
-    idx = {v: i for i, v in enumerate(nodes)}
+    grounded, as a k x k matrix indexed by position in `nodes` (the
+    grounded node's row and column are zero)."""
     k = len(nodes)
+    require_dense(k, "grounded Laplacian inverse")
+    pos = {v: i for i, v in enumerate(nodes)}
     lap = np.zeros((k, k))
     for v in nodes:
-        i = idx[v]
         for u, w in g.adj[v]:
-            if u in idx:
-                lap[i, i] += w
-                lap[i, idx[u]] -= w
-    tinv = solve_linear(lap[:-1, :-1])
-    full = np.zeros((g.n, g.n))
-    head = np.asarray(nodes[:-1])
-    full[np.ix_(head, head)] = tinv
-    return full
+            if u in pos:
+                lap[pos[v], pos[v]] += w
+                lap[pos[v], pos[u]] -= w
+    return np.pad(solve_linear(lap[:-1, :-1]), (0, 1))
 
 
 def _component_nodes(g: Graph) -> list[list[int]]:
@@ -227,21 +223,21 @@ def current_flow_betweenness(g: Graph,
         if nc < 3:
             continue
         tmat = _grounded_inverse(g, nodes)
-        inside = set(nodes)
-        edge_sum = {v: 0.0 for v in nodes}
+        pos = {v: i for i, v in enumerate(nodes)}
+        edge_sum = [0.0] * nc
         for v in nodes:
             for u, w in g.adj[v]:
-                if u < v or u not in inside:
+                if u < v:
                     continue
-                f = w * (tmat[v, nodes] - tmat[u, nodes])
+                f = w * (tmat[pos[v]] - tmat[pos[u]])
                 f.sort()
                 # sum over node pairs s<t of |F(s)-F(t)| via sorted prefix
                 i = np.arange(nc)
                 s_e = float(np.sum((2 * i - nc + 1) * f))
-                edge_sum[v] += s_e
-                edge_sum[u] += s_e
+                edge_sum[pos[v]] += s_e
+                edge_sum[pos[u]] += s_e
         for v in nodes:
-            vals[v] = (edge_sum[v] - (nc - 1)) / ((nc - 1) * (nc - 2))
+            vals[v] = (edge_sum[pos[v]] - (nc - 1)) / ((nc - 1) * (nc - 2))
     return score_vector("current-flow-betweenness", vals)
 
 
@@ -263,22 +259,19 @@ def current_flow_closeness(g: Graph,
         if nc < 2:
             continue
         tmat = _grounded_inverse(g, nodes)
-        for v in nodes:
+        for i, v in enumerate(nodes):
             total = 0.0
-            for w in nodes:
-                if w != v:
-                    total += tmat[v, v] + tmat[w, w] - 2 * tmat[v, w]
+            for j in range(nc):
+                if j != i:
+                    total += tmat[i, i] + tmat[j, j] - 2 * tmat[i, j]
             vals[v] = nc / total
     return score_vector("current-flow-closeness", vals)
 
 
 def random_walk_betweenness(g: Graph) -> ScoreVector:
-    """Newman's random-walk betweenness by direct pair accumulation.
-
-    Deliberately naive (O(n^2 m)): this is the independent oracle for
-    the current-flow equivalence claim, so it must not share the
-    sorted-prefix shortcut with current_flow_betweenness.
-    """
+    """Newman's random-walk betweenness, in which each pair's endpoints
+    count 1, as the rescaling ((n-2) * cfb + 2) / n of current-flow
+    betweenness on a connected graph."""
     if g.directed:
         raise UnsupportedGraphError(
             "random-walk betweenness needs an undirected graph")
@@ -286,23 +279,9 @@ def random_walk_betweenness(g: Graph) -> ScoreVector:
     n = g.n
     if n < 2:
         return score_vector("random-walk-betweenness", [0.0] * n)
-    nodes = list(range(n))
-    tmat = _grounded_inverse(g, nodes)
-    raw = [0.0] * n
-    for s in range(n):
-        for t in range(s + 1, n):
-            for v in range(n):
-                if v == s or v == t:
-                    raw[v] += 1.0
-                    continue
-                cur = 0.0
-                for u, w in g.adj[v]:
-                    cur += w * abs(tmat[v, s] - tmat[v, t]
-                                   - tmat[u, s] + tmat[u, t])
-                raw[v] += 0.5 * cur
-    denom = 0.5 * n * (n - 1)
+    cfb = current_flow_betweenness(g).values
     return score_vector("random-walk-betweenness",
-                        [x / denom for x in raw])
+                        [((n - 2) * c + 2) / n for c in cfb])
 
 
 # -- closeness family -------------------------------------------------------

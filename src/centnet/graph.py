@@ -5,8 +5,9 @@ simulation) builds on the primitives here: single-source shortest paths
 with path counts, connected components, unit-capacity max flow with a
 deterministic augmenting order, and the linear-algebra layer.
 
-The linear-algebra layer has three parts. `Graph.adjacency` returns the
-graph as a scipy.sparse CSR operator. `fixed_point` is the one loop that
+`Graph.adjacency` is the graph as a read-only scipy.sparse CSR operator,
+built once; `m`, `unit_weights` and `components` (through
+scipy.sparse.csgraph) read it. `fixed_point` is the one loop that
 iterates a step map until successive iterates agree in the sup norm;
 `power_iteration` runs it with an L2-normalising step. Dense solves and
 eigendecompositions pass `require_dense` before they allocate.
@@ -19,10 +20,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceError,
@@ -61,8 +65,8 @@ class Graph:
     @property
     def m(self) -> int:
         """Edge count: undirected edges, or arcs when directed."""
-        total = sum(len(a) for a in self.adj)
-        return total if self.directed else total // 2
+        nnz = self.adjacency().nnz
+        return nnz if self.directed else nnz // 2
 
     def neighbors(self, v: int) -> list[int]:
         return [u for u, _ in self.adj[v]]
@@ -94,7 +98,8 @@ class Graph:
 
     @property
     def unit_weights(self) -> bool:
-        return all(w == 1.0 for a in self.adj for _, w in a)
+        """True when every weight is 1."""
+        return self.adjacency(True) is self.adjacency(False)
 
     def label_of(self, v: int):
         return self.labels[v] if self.labels is not None else v
@@ -105,15 +110,27 @@ class Graph:
         return self._label_to_id[label]
 
     def adjacency(self, weighted: bool = True) -> scipy.sparse.csr_matrix:
-        """Sparse adjacency, built per call: A[u, v] = w for an arc u->v
-        (1 when not `weighted`); symmetric when undirected."""
+        """Sparse adjacency, built once and read-only: A[u, v] = w for an
+        arc u->v (1 when not `weighted`); symmetric when undirected."""
+        a, unit = self._operators
+        return a if weighted else unit
+
+    @cached_property
+    def _operators(self) -> tuple:
+        """(weighted, unit-weight) CSR adjacency. The second shares the
+        first's index arrays, and is the first when all weights are 1."""
         indptr = np.cumsum([0] + [len(a) for a in self.adj])
-        arcs = np.array([arc for a in self.adj for arc in a],
-                        dtype=float).reshape(-1, 2)
-        data = arcs[:, 1] if weighted else np.ones(len(arcs))
-        return scipy.sparse.csr_matrix(
-            (data, arcs[:, 0].astype(np.int64), indptr),
+        arcs = np.fromiter(chain.from_iterable(chain.from_iterable(self.adj)),
+                           float).reshape(-1, 2)
+        a = scipy.sparse.csr_matrix(
+            (arcs[:, 1], arcs[:, 0].astype(np.int64), indptr),
             shape=(self.n, self.n))
+        unit = a if np.all(a.data == 1.0) else scipy.sparse.csr_matrix(
+            (np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        for op in (a, unit):
+            for arr in (op.data, op.indices, op.indptr):
+                arr.flags.writeable = False
+        return a, unit
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense weighted adjacency; A[u][v] = w for an arc u->v."""
@@ -275,7 +292,14 @@ def _bfs(n, adj, source, cap):
     return ShortestPaths(source, dist, sigma, preds, order)
 
 
-_EPS = 1e-12
+# Relative tolerance under which two path lengths count as equal: sums
+# of a few thousand float64 terms stay within it of their exact value.
+TIE_RTOL = 1e-12
+
+
+def _ties(a: float, b: float) -> bool:
+    """a and b agree within TIE_RTOL; inf ties with nothing finite."""
+    return abs(a - b) <= TIE_RTOL * min(abs(a), abs(b))
 
 
 def _dijkstra(n, adj, source, cap):
@@ -293,7 +317,7 @@ def _dijkstra(n, adj, source, cap):
         if done[v]:
             continue
         done[v] = True
-        if dv > limit + _EPS:
+        if dv > limit and not _ties(dv, limit):
             break
         order.append(v)
         sv = sigma[v]
@@ -302,16 +326,16 @@ def _dijkstra(n, adj, source, cap):
                 continue
             alt = dv + w
             du = dist[u]
-            if alt < du - _EPS:
+            if _ties(alt, du):
+                sigma[u] += sv
+                preds[u].append(v)
+            elif alt < du:
                 dist[u] = alt
                 sigma[u] = sv
                 preds[u] = [v]
                 heapq.heappush(heap, (alt, u))
-            elif abs(alt - du) <= _EPS:
-                sigma[u] += sv
-                preds[u].append(v)
     for v in range(n):
-        if dist[v] > limit + _EPS and dist[v] != INF:
+        if dist[v] > limit and not _ties(dist[v], limit):
             dist[v] = INF
             sigma[v] = 0
             preds[v] = []
@@ -342,92 +366,25 @@ def components(g: Graph, mode: str = "weak",
     """Label connected components.
 
     `mode` is "weak" (direction ignored) or "strong" (SCCs; same as weak
-    on undirected graphs). `mask[v] = False` excludes v, as if removed.
+    on undirected graphs). `mask[v] = False` excludes v, as if removed,
+    and labels it -1. Weak ids count components in order of their
+    smallest node; strong ids on directed graphs are arbitrary.
     """
     if mode not in ("weak", "strong"):
         raise GraphInputError(f"unknown component mode {mode!r}")
-    n = g.n
-    alive = mask if mask is not None else [True] * n
-    if mode == "strong" and g.directed:
-        return _tarjan_scc(g, alive)
-    comp = [-1] * n
-    sizes = []
-    for s in range(n):
-        if comp[s] >= 0 or not alive[s]:
-            continue
-        cid = len(sizes)
-        comp[s] = cid
-        size = 1
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for u, _ in g.adj[v]:
-                if comp[u] < 0 and alive[u]:
-                    comp[u] = cid
-                    size += 1
-                    q.append(u)
-            if g.directed:
-                for u, _ in g.in_adj[v]:
-                    if comp[u] < 0 and alive[u]:
-                        comp[u] = cid
-                        size += 1
-                        q.append(u)
-        sizes.append(size)
-    return ComponentLabeling(comp, sizes, max(sizes, default=0))
-
-
-def _tarjan_scc(g: Graph, alive) -> ComponentLabeling:
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    sizes: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0 or not alive[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            nbrs = g.adj[v]
-            while pi < len(nbrs):
-                u = nbrs[pi][0]
-                pi += 1
-                if not alive[u]:
-                    continue
-                if index[u] < 0:
-                    work[-1] = (v, pi)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                cid = len(sizes)
-                size = 0
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = cid
-                    size += 1
-                    if u == v:
-                        break
-                sizes.append(size)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return ComponentLabeling(comp, sizes, max(sizes, default=0))
+    a = g.adjacency(weighted=False)
+    comp = np.full(g.n, -1)
+    if mask is None:
+        alive = slice(None)
+    else:
+        alive = np.flatnonzero(np.asarray(mask, dtype=bool))
+        a = a[alive][:, alive]
+    count, labels = connected_components(
+        a, directed=g.directed,
+        connection="strong" if mode == "strong" else "weak")
+    comp[alive] = labels
+    sizes = np.bincount(labels, minlength=count).tolist()
+    return ComponentLabeling(comp.tolist(), sizes, max(sizes, default=0))
 
 
 def giant_fraction(g: Graph, mask=None, mode: str = "weak") -> float:

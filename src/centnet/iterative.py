@@ -11,6 +11,7 @@ centrality are dense solves under the dense cap.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,9 @@ def k_shell(g: Graph) -> DecompositionResult:
     remaining = n
     while remaining:
         k = min(deg[v] for v in range(n) if alive[v])
-        queue = [v for v in range(n) if alive[v] and deg[v] <= k]
+        queue = deque(v for v in range(n) if alive[v] and deg[v] <= k)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             if not alive[v]:
                 continue
             alive[v] = False
@@ -100,9 +101,10 @@ def mixed_degree_decomposition(g: Graph,
     while remaining:
         mixed = [k_r[v] + lambda_mdd * k_e[v] for v in range(n)]
         m_stage = min(mixed[v] for v in range(n) if alive[v])
-        queue = [v for v in range(n) if alive[v] and mixed[v] <= m_stage]
+        queue = deque(v for v in range(n)
+                      if alive[v] and mixed[v] <= m_stage)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             if not alive[v]:
                 continue
             alive[v] = False

@@ -93,7 +93,7 @@ POINT_METRICS: dict[str, PointMetric] = {
     "current-flow-closeness": PointMetric(
         lambda g, p: gm.current_flow_closeness(g)),
     "random-walk-betweenness": PointMetric(
-        lambda g, p: gm.random_walk_betweenness(g), capped=True),
+        lambda g, p: gm.random_walk_betweenness(g)),
     "closeness": PointMetric(
         lambda g, p: gm.closeness_family(g, "closeness", p)),
     "bavelas": PointMetric(lambda g, p: gm.closeness_family(g, "bavelas", p)),

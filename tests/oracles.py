@@ -263,6 +263,35 @@ def bf_delta_hyperbolicity(g, dist=None):
     return best
 
 
+def random_walk_betweenness(g):
+    """Newman's random-walk betweenness by direct pair accumulation on a
+    connected undirected graph (O(n^2 m)); endpoints count 1 per pair."""
+    n = g.n
+    if n < 2:
+        return [0.0] * n
+    lap = np.zeros((n, n))
+    for v in range(n):
+        for u, w in g.adj[v]:
+            lap[v, v] += w
+            lap[v, u] -= w
+    # voltages with the last node grounded
+    tmat = np.zeros((n, n))
+    tmat[:-1, :-1] = np.linalg.inv(lap[:-1, :-1])
+    raw = [0.0] * n
+    for s, t in combinations(range(n), 2):
+        for v in range(n):
+            if v == s or v == t:
+                raw[v] += 1.0
+                continue
+            cur = 0.0
+            for u, w in g.adj[v]:
+                cur += w * abs(tmat[v, s] - tmat[v, t]
+                               - tmat[u, s] + tmat[u, t])
+            raw[v] += 0.5 * cur
+    denom = 0.5 * n * (n - 1)
+    return [x / denom for x in raw]
+
+
 def quantize(values, rel=1e-9):
     """Round scores to a relative grid so exact mathematical ties that
     differ by accumulation-order noise rank as ties."""

@@ -164,8 +164,26 @@ class TestCurrentFlow:
             if g.n < 4 or oracles.floyd_warshall(g).max() == math.inf:
                 continue
             cfb = oracles.quantize(current_flow_betweenness(g).values)
-            rwb = oracles.quantize(random_walk_betweenness(g).values)
+            rwb = oracles.quantize(oracles.random_walk_betweenness(g))
             assert oracles.spearman(cfb, rwb) == pytest.approx(1.0)
+
+    def test_rwb_matches_oracle(self, atlas, atlas_weighted):
+        for g in atlas + atlas_weighted:
+            got = random_walk_betweenness(g).values
+            want = oracles.random_walk_betweenness(g)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_per_component_scales_with_components(self):
+        # 1251 disjoint 4-node paths: n = 5004 is past the dense cap, but
+        # every component is solved on its own
+        k = 1251
+        g = build_graph([(4 * c + i, 4 * c + i + 1)
+                         for c in range(k) for i in range(3)])
+        p4 = path_graph(4)
+        for metric in (current_flow_betweenness, current_flow_closeness):
+            want = metric(p4).values
+            got = metric(g, per_component=True).values
+            assert got == pytest.approx(want * k, rel=1e-12)
 
     def test_rwb_p3_endpoint_convention(self, p3):
         got = random_walk_betweenness(p3).values

@@ -104,6 +104,18 @@ class TestShortestPaths:
         assert sp.dist[t] == 2.0
         assert sp.sigma[t] == 2
 
+    def test_dijkstra_ties_are_relative(self):
+        # route sums that are equal in exact arithmetic tie at weights
+        # near 1e6, where they differ by rounding far above 1e-12 ...
+        big = build_graph([("s", "a", 1000000.1), ("a", "t", 1000000.2),
+                           ("s", "b", 1000000.3), ("b", "t", 1000000.0)])
+        # ... and genuinely different sums near 1e-9 do not tie
+        small = build_graph([("s", "a", 1e-9), ("a", "t", 1e-9),
+                             ("s", "b", 1e-9), ("b", "t", 1.0005e-9)])
+        for g, sigma in ((big, 2), (small, 1)):
+            sp = shortest_paths(g, g.id_of("s"))
+            assert sp.sigma[g.id_of("t")] == sigma
+
     def test_sigma_matches_path_enumeration(self, atlas_sample):
         for g in atlas_sample:
             dist = oracles.floyd_warshall(g)

@@ -1,6 +1,7 @@
 """Hypothesis properties of the graph substrate, checked against networkx."""
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from centnet import build_graph, components
@@ -64,3 +65,22 @@ def test_components_match_networkx(case):
             firsts = [lab.component_id[v] for v in alive]
             seen = list(dict.fromkeys(firsts))
             assert seen == list(range(len(want)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(graphs(), st.booleans())
+def test_adjacency_is_one_read_only_operator(case, weighted):
+    directed, n, edges, _ = case
+    g = build_graph([(u, v, 1.0 + (u + v) % 3 * weighted) for u, v in edges],
+                    directed=directed, isolated=range(n))
+    for flag in (True, False):
+        a = g.adjacency(flag)
+        assert a is g.adjacency(flag)
+        assert not any(arr.flags.writeable
+                       for arr in (a.data, a.indices, a.indptr))
+    a, unit = g.adjacency(True), g.adjacency(False)
+    # the unweighted twin is the operator itself when all weights are 1
+    assert unit is a or (np.shares_memory(unit.indices, a.indices) and
+                         np.shares_memory(unit.indptr, a.indptr))
+    assert (unit != (a != 0)).nnz == 0
+    assert g.unit_weights == (not weighted or bool((a.data == 1.0).all()))
