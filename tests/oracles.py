@@ -6,7 +6,9 @@ of per-source BFS, per-definition k-core peeling instead of staged
 pruning, bipartition search instead of augmenting paths.
 """
 
+import heapq
 import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -130,6 +132,142 @@ def bf_load(g):
             for v in range(n):
                 if v not in (s, t) and v in amount:
                     acc[v] += amount[v]
+    return acc
+
+
+# -- per-source traversal: the reference for the batched path engine ------
+
+
+def single_source(g, source, cap=None):
+    """(dist, sigma, preds, order) from one source by a Python BFS when
+    every weight is 1 and a binary-heap Dijkstra otherwise. Path lengths
+    tie under graph.TIE_RTOL; nodes beyond `cap` are unreachable; `order`
+    lists the reached nodes by non-decreasing distance."""
+    unit = all(w == 1.0 for row in g.adj for _, w in row)
+    return (_bfs if unit else _dijkstra)(g.n, g.adj, source, cap)
+
+
+def _bfs(n, adj, source, cap):
+    dist = [INF] * n
+    sigma = [0] * n
+    preds = [[] for _ in range(n)]
+    order = [source]
+    dist[source] = 0.0
+    sigma[source] = 1
+    q = deque([source])
+    limit = INF if cap is None else cap
+    while q:
+        v = q.popleft()
+        dv = dist[v]
+        if dv >= limit:
+            continue
+        for u, _ in adj[v]:
+            if dist[u] == INF:
+                dist[u] = dv + 1.0
+                q.append(u)
+                order.append(u)
+            if dist[u] == dv + 1.0:
+                sigma[u] += sigma[v]
+                preds[u].append(v)
+    if cap is not None:
+        for v in range(n):
+            if dist[v] > cap:
+                dist[v], sigma[v], preds[v] = INF, 0, []
+        order = [v for v in order if dist[v] < INF]
+    return dist, sigma, preds, order
+
+
+def _ties(a, b):
+    from centnet.graph import TIE_RTOL
+    return abs(a - b) <= TIE_RTOL * min(abs(a), abs(b))
+
+
+def _dijkstra(n, adj, source, cap):
+    dist = [INF] * n
+    sigma = [0] * n
+    preds = [[] for _ in range(n)]
+    done = [False] * n
+    order = []
+    dist[source] = 0.0
+    sigma[source] = 1
+    heap = [(0.0, source)]
+    limit = INF if cap is None else cap
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        if dv > limit and not _ties(dv, limit):
+            break
+        order.append(v)
+        for u, w in adj[v]:
+            if done[u]:
+                continue
+            alt = dv + w
+            if _ties(alt, dist[u]):
+                sigma[u] += sigma[v]
+                preds[u].append(v)
+            elif alt < dist[u]:
+                dist[u] = alt
+                sigma[u] = sigma[v]
+                preds[u] = [v]
+                heapq.heappush(heap, (alt, u))
+    for v in range(n):
+        if dist[v] > limit and not _ties(dist[v], limit):
+            dist[v], sigma[v], preds[v] = INF, 0, []
+    order = [v for v in order if dist[v] < INF]
+    return dist, sigma, preds, order
+
+
+def dependencies(sigma, preds, order):
+    """Brandes dependency accumulation over one shortest-path DAG."""
+    delta = [0.0] * len(sigma)
+    for w in reversed(order):
+        coeff = (1.0 + delta[w]) / sigma[w]
+        for v in preds[w]:
+            delta[v] += sigma[v] * coeff
+    return delta
+
+
+def source_betweenness(g, cap=None, states=None):
+    """Betweenness summed per source (halved when undirected), with
+    nodes beyond `cap` unreachable; with per-node `states`, percolation
+    centrality instead."""
+    n = g.n
+    acc = [0.0] * n
+    for s in range(n):
+        x = 1.0 if states is None else states[s]
+        if x == 0.0:
+            continue
+        dist, sigma, preds, order = single_source(g, s, cap)
+        delta = dependencies(sigma, preds, order)
+        for v in range(n):
+            if v != s:
+                acc[v] += x * delta[v]
+    if states is not None:
+        total = sum(states)
+        return [acc[v] / ((n - 2) * (total - states[v]))
+                if n > 2 and total - states[v] > 0.0 else 0.0
+                for v in range(n)]
+    return acc if g.directed else [x / 2.0 for x in acc]
+
+
+def source_load(g):
+    """Goh's load by splitting each source's unit packets evenly over
+    the predecessors, node by node in reverse distance order."""
+    n = g.n
+    acc = [0.0] * n
+    for s in range(n):
+        dist, _, preds, order = single_source(g, s)
+        amount = [0.0] * n
+        for v in order:
+            amount[v] += 1.0
+        for w in reversed(order):
+            for v in preds[w]:
+                amount[v] += amount[w] / len(preds[w])
+        for v in order:
+            if v != s:
+                acc[v] += amount[v] - 1.0
     return acc
 
 

@@ -104,6 +104,14 @@ class TestShortestPaths:
         assert sp.dist[t] == 2.0
         assert sp.sigma[t] == 2
 
+    def test_tied_geodesics_of_different_hop_counts(self):
+        # the direct arc, s-a-t and s-a-b-t all have length 2
+        g = build_graph([("s", "t", 2.0), ("s", "a", 1.0), ("a", "t", 1.0),
+                         ("a", "b", 0.5), ("b", "t", 0.5)])
+        sp = shortest_paths(g, g.id_of("s"))
+        assert sp.dist[g.id_of("t")] == 2.0
+        assert sp.sigma[g.id_of("t")] == 3
+
     def test_dijkstra_ties_are_relative(self):
         # route sums that are equal in exact arithmetic tie at weights
         # near 1e6, where they differ by rounding far above 1e-12 ...

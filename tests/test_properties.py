@@ -2,9 +2,11 @@
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from centnet import build_graph, components
+from centnet.globalmetrics import betweenness_family, closeness_family
 
 MAX_N = 60
 
@@ -84,3 +86,24 @@ def test_adjacency_is_one_read_only_operator(case, weighted):
                          np.shares_memory(unit.indptr, a.indptr))
     assert (unit != (a != 0)).nnz == 0
     assert g.unit_weights == (not weighted or bool((a.data == 1.0).all()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.booleans(), st.booleans(), st.integers(1, 40), st.data())
+def test_path_scores_permute_with_the_nodes(directed, weighted, n, data):
+    """Relabelling the nodes permutes betweenness, load and closeness.
+    Weights come from a small set, so equal-length routes occur."""
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([0.5, 1.0, 1.5, 2.5] if weighted else [1.0])
+    edges = data.draw(st.lists(st.tuples(node, node, weight),
+                               max_size=3 * n))
+    perm = data.draw(st.permutations(range(n)))
+    g = build_graph(edges, directed=directed, isolated=range(n))
+    h = build_graph([(perm[u], perm[v], w) for u, v, w in edges],
+                    directed=directed, isolated=range(n))
+    for score in (lambda x: betweenness_family(x),
+                  lambda x: betweenness_family(x, "load"),
+                  lambda x: closeness_family(x, reachable_only=True)):
+        got, moved = score(g).values, score(h).values
+        assert [moved[h.id_of(perm[g.label_of(v)])] for v in range(n)] == \
+            pytest.approx(list(got), rel=1e-9, abs=1e-12)
