@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import GraphInputError, UnsupportedGraphError
@@ -13,9 +11,11 @@ from .graph import (
     components,
     max_flow,
     power_iteration,
+    reciprocal,
     require_dense,
     shortest_paths,
     solve_linear,
+    traverse,
 )
 from .iterative import k_shell
 from .params import MetricParams, ScoreVector, score_vector
@@ -31,17 +31,15 @@ def _require_connected(g: Graph, name: str):
 # -- shortest-path betweenness family ------------------------------------
 
 
-def _dependencies(sp) -> list[float]:
-    """Brandes dependency accumulation over one shortest-path DAG."""
-    delta = [0.0] * len(sp.dist)
-    sigma = sp.sigma
-    preds = sp.preds
-    for w in reversed(sp.order):
-        dw = delta[w]
-        coeff = (1.0 + dw) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-    return delta
+def _dependency_sum(g: Graph, sources, cap=None, weights=None):
+    """Brandes dependencies summed over `sources`, each source's
+    weighted by weights[source] (1 when None)."""
+    acc = np.zeros(g.n)
+    for t in traverse(g, sources, cap):
+        delta = t.accumulate(t.sigma, reciprocal(t.sigma))
+        acc += delta.sum(axis=1) if weights is None else \
+            delta @ weights[t.sources]
+    return acc
 
 
 def betweenness_family(g: Graph, metric: str = "betweenness",
@@ -57,15 +55,9 @@ def betweenness_family(g: Graph, metric: str = "betweenness",
     n = g.n
     if metric in ("betweenness", "l-betweenness"):
         cap = None if metric == "betweenness" else float(params.L)
-        acc = [0.0] * n
-        for s in range(n):
-            sp = shortest_paths(g, s, cap=cap)
-            delta = _dependencies(sp)
-            for v in range(n):
-                if v != s:
-                    acc[v] += delta[v]
+        acc = _dependency_sum(g, range(n), cap)
         if not g.directed:
-            acc = [x / 2.0 for x in acc]
+            acc /= 2.0
         if normalized:
             acc = _freeman_normalize(acc, n, g.directed)
         extra = {"L": params.L} if metric == "l-betweenness" else {}
@@ -79,23 +71,12 @@ def betweenness_family(g: Graph, metric: str = "betweenness",
             raise GraphInputError(
                 "percolation centrality needs per-node states with at "
                 "least one positive entry")
-        total = sum(states)
-        acc = [0.0] * n
-        for r in range(n):
-            if states[r] == 0.0:
-                continue
-            sp = shortest_paths(g, r)
-            delta = _dependencies(sp)
-            xr = states[r]
-            for v in range(n):
-                if v != r:
-                    acc[v] += xr * delta[v]
-        vals = [0.0] * n
+        x = np.asarray(states, dtype=float)
+        acc = _dependency_sum(g, np.flatnonzero(x), weights=x)
+        rest = x.sum() - x
+        vals = np.zeros(n)
         if n > 2:
-            for v in range(n):
-                rest = total - states[v]
-                if rest > 0.0:
-                    vals[v] = acc[v] / ((n - 2) * rest)
+            np.divide(acc, (n - 2) * rest, out=vals, where=rest > 0.0)
         return score_vector("percolation", vals)
 
     if metric == "load":
@@ -114,23 +95,9 @@ def _freeman_normalize(acc, n, directed):
 def _load(g: Graph) -> ScoreVector:
     """Goh's packet-splitting load: unit packets split evenly at each
     branching point, accumulated over ordered pairs."""
-    n = g.n
-    acc = [0.0] * n
-    for s in range(n):
-        sp = shortest_paths(g, s)
-        amount = [0.0] * n
-        for v in sp.order:
-            amount[v] += 1.0
-        for w in reversed(sp.order):
-            preds = sp.preds[w]
-            if not preds:
-                continue
-            share = amount[w] / len(preds)
-            for v in preds:
-                amount[v] += share
-        for v in range(n):
-            if v != s and sp.dist[v] < INF:
-                acc[v] += amount[v] - 1.0
+    acc = np.zeros(g.n)
+    for t in traverse(g, range(g.n)):
+        acc += t.accumulate(1.0, reciprocal(t.pred_count())).sum(axis=1)
     return score_vector("load", acc)
 
 
@@ -316,36 +283,33 @@ def closeness_family(g: Graph, metric: str = "closeness",
         sv = score_vector("bavelas", vals)
         return (sv, diag) if with_diagnostics else sv
 
-    vals = [0.0] * n
-    for v in range(n):
-        dist = shortest_paths(g, v).dist
-        reach = [dist[u] for u in range(n) if u != v and dist[u] < INF]
-        miss = (n - 1) - len(reach)
-        skipped += miss
+    if metric not in ("closeness", "eccentricity", "residual",
+                      "straightness"):
+        raise GraphInputError(f"unknown closeness metric {metric!r}")
+    vals = np.zeros(n)
+    for t in traverse(g, range(n)):
+        cols = np.arange(len(t.sources))
+        reached = t.dist < INF
+        reached[t.sources, cols] = False
+        d = np.where(reached, t.dist, 0.0)
+        count = reached.sum(axis=0)
+        skipped += int((n - 1 - count).sum())
+        scored = count > 0
+        if not reachable_only and metric in ("closeness", "eccentricity"):
+            scored &= count == n - 1
         if metric == "closeness":
-            if not reach or (miss and not reachable_only):
-                vals[v] = 0.0
-            else:
-                vals[v] = 1.0 / sum(reach)
+            val = reciprocal(d.sum(axis=0))
         elif metric == "eccentricity":
-            if not reach or (miss and not reachable_only):
-                vals[v] = 0.0
-            else:
-                vals[v] = 1.0 / max(reach)
+            val = reciprocal(d.max(axis=0, initial=0.0))
         elif metric == "residual":
-            vals[v] = sum(params.delta_decay ** d for d in reach)
-        elif metric == "straightness":
-            tot = 0.0
-            cnt = 0
-            for u in range(n):
-                if u == v or dist[u] == INF:
-                    continue
-                de = math.dist(g.coords[v], g.coords[u])
-                tot += de / dist[u]
-                cnt += 1
-            vals[v] = tot / cnt if cnt else 0.0
+            val = np.where(reached, params.delta_decay ** d, 0.0).sum(axis=0)
         else:
-            raise GraphInputError(f"unknown closeness metric {metric!r}")
+            xy = np.asarray(g.coords)
+            euclid = np.linalg.norm(xy[:, None] - xy[t.sources], axis=2)
+            ratio = euclid / np.where(reached, d, 1.0)
+            val = np.where(reached, ratio, 0.0).sum(axis=0) / \
+                np.maximum(count, 1)
+        vals[t.sources] = np.where(scored, val, 0.0)
     extra = {"delta": params.delta_decay} if metric == "residual" else {}
     sv = score_vector(metric, vals,
                       {"reachable_only": reachable_only, **extra})

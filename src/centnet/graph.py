@@ -1,13 +1,20 @@
 """Immutable graph representation and the algorithmic substrate.
 
 Everything downstream (metric families, group selection, attack
-simulation) builds on the primitives here: single-source shortest paths
-with path counts, connected components, unit-capacity max flow with a
+simulation) builds on the primitives here: the batched shortest-path
+engine, connected components, unit-capacity max flow with a
 deterministic augmenting order, and the linear-algebra layer.
 
 `Graph.adjacency` is the graph as a read-only scipy.sparse CSR operator,
 built once; `m`, `unit_weights` and `components` (through
-scipy.sparse.csgraph) read it. `fixed_point` is the one loop that
+scipy.sparse.csgraph) read it. `traverse` runs shortest paths from a
+block of sources at a time: on unit weights a level-synchronous BFS of
+sparse x dense-block products, otherwise scipy's Dijkstra with the
+shortest-path DAG (arcs whose d(u) + w ties d(v) under `TIE_RTOL`)
+built as one sparse matrix. Both give distances and float64 path counts
+(sigma) as (n, b) arrays, and one backward sweep over the DAG levels
+that Brandes dependencies and Goh's load reduce over; `shortest_paths`
+and `all_distances` are calls of it. `fixed_point` is the one loop that
 iterates a step map until successive iterates agree in the sup norm;
 `power_iteration` runs it with an L2-normalising step. Dense solves and
 eigendecompositions pass `require_dense` before they allocate.
@@ -15,18 +22,17 @@ eigendecompositions pass `require_dense` before they allocate.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     ConvergenceError,
@@ -226,23 +232,206 @@ def graph_from_arcs(n: int, directed: bool, arcs,
 
 # -- shortest paths -----------------------------------------------------
 
+# Relative tolerance under which two path lengths count as equal: sums
+# of a few thousand float64 terms stay within it of their exact value.
+TIE_RTOL = 1e-12
+
+# A traversal block holds about this many entries per (n, b) or
+# (arcs, b) temporary, so b = _BLOCK_ENTRIES // max(n, arcs) sources.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def reciprocal(x):
+    """1/x where x is non-zero, 0 elsewhere."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0)
+
+
+class Traversal:
+    """Shortest paths from one block of b sources, as (n, b) arrays in
+    which column j belongs to `sources[j]`.
+
+    `dist` is inf where a node is unreachable (or beyond the cap);
+    `sigma` counts geodesics in float64, exact below 2**53. The
+    shortest-path DAG is swept level by level: `level` is each node's
+    hop level in it (0 at the source, -1 unreached), and every arc of
+    the DAG runs from a lower level to a higher one.
+    """
+
+    sources: np.ndarray
+    dist: np.ndarray
+    sigma: np.ndarray
+    level: np.ndarray
+    depth: int
+
+    def _up(self, x, lvl):
+        """For each node on level `lvl`, the sum of x over its DAG
+        predecessors; 0 on every other level."""
+        raise NotImplementedError
+
+    def _down(self, c, lvl):
+        """For each node, the sum of c over its DAG successors, where c
+        is zero off level `lvl`."""
+        raise NotImplementedError
+
+    def pred_count(self) -> np.ndarray:
+        """Number of DAG predecessors of every node."""
+        ones = np.ones_like(self.dist)
+        return sum((self._up(ones, lvl) for lvl in range(1, self.depth + 1)),
+                   np.zeros_like(self.dist))
+
+    def accumulate(self, left, right) -> np.ndarray:
+        """The backward sweep x(v) = left(v) * sum over DAG successors w
+        of right(w) * (1 + x(w)), from the deepest level up; 0 at the
+        sources. Brandes dependencies take left = sigma, right =
+        1/sigma; Goh's load takes left = 1, right = 1/pred_count."""
+        x = np.zeros_like(self.dist)
+        for lvl in range(self.depth, 1, -1):
+            c = np.where(self.level == lvl, right * (1.0 + x), 0.0)
+            x += left * self._down(c, lvl)
+        x[self.sources, np.arange(len(self.sources))] = 0.0
+        return x
+
+
+class _LevelSweep(Traversal):
+    """Unit weights: a level-synchronous BFS of sparse x dense-block
+    products, where the DAG arcs are the arcs from level l-1 to l."""
+
+    def __init__(self, a, at, sources, limit):
+        n, b = a.shape[0], len(sources)
+        cols = np.arange(b)
+        self.a, self.at, self.sources = a, at, sources
+        self.level = np.full((n, b), -1, dtype=np.int32)
+        self.level[sources, cols] = 0
+        self.sigma = np.zeros((n, b))
+        self.sigma[sources, cols] = 1.0
+        frontier = self.sigma.copy()
+        depth = 0
+        while depth + 1 <= limit:
+            reached = at @ frontier
+            new = (reached > 0.0) & (self.level < 0)
+            if not new.any():
+                break
+            depth += 1
+            self.level[new] = depth
+            frontier = np.where(new, reached, 0.0)
+            self.sigma += frontier
+        self.depth = depth
+        self.dist = np.where(self.level >= 0, self.level, INF)
+
+    def _up(self, x, lvl):
+        below = np.where(self.level == lvl - 1, x, 0.0)
+        return np.where(self.level == lvl, self.at @ below, 0.0)
+
+    def _down(self, c, lvl):
+        return np.where(self.level == lvl - 1, self.a @ c, 0.0)
+
+
+class _ArcSweep(Traversal):
+    """Weighted graphs: distances from scipy's Dijkstra; the DAG is the
+    set of arcs u->v with d(u) < d(v) and d(u) + w tying d(v), held as
+    one sparse matrix over (source, node) pairs and built only when
+    sigma or a sweep is asked for. Levels come from peeling it in
+    topological rounds. Arrays are (b, n) inside and (n, b) views out."""
+
+    def __init__(self, a, tails, sources, limit):
+        self.a, self.tails, self.sources = a, tails, sources
+        self.dist = dijkstra(a, directed=True, indices=sources,
+                             limit=limit).T
+
+    sigma = property(lambda self: self._peel[0].T)
+    level = property(lambda self: self._peel[1].T)
+    depth = property(lambda self: self._peel[2])
+
+    @cached_property
+    def _dag(self):
+        """P[j*n + u, j*n + v] = 1 for each DAG arc u->v of source j."""
+        (n, b), a = self.dist.shape, self.a
+        # nan marks unreached nodes, so no comparison with them holds;
+        # Dijkstra leaves d(u) + w >= d(v) on every arc it relaxed
+        d = np.where(self.dist.T < INF, self.dist.T, np.nan)
+        du, dv = d[:, self.tails], d[:, a.indices]
+        tie = (du < dv) & (du + a.data <= dv * (1.0 + TIE_RTOL))
+        col, arc = np.divmod(np.flatnonzero(tie), a.nnz)
+        # tie is enumerated source by source, arc by arc: tails ascend
+        tail, head = col * n + self.tails[arc], col * n + a.indices[arc]
+        indptr = np.searchsorted(tail, np.arange(n * b + 1))
+        return scipy.sparse.csr_matrix(
+            (np.ones(arc.size), head, indptr), shape=(n * b, n * b))
+
+    @cached_property
+    def _peel(self):
+        """(sigma, level, depth), as (b, n) arrays, from peeling the DAG
+        in rounds: a node joins the level after its last predecessor."""
+        (n, b), p = self.dist.shape, self._dag
+        cols = np.arange(b)
+        level = np.full((b, n), -1, dtype=np.int32)
+        level[cols, self.sources] = 0
+        sigma = np.zeros((b, n))
+        sigma[cols, self.sources] = 1.0
+        # predecessors not yet on a level; -1 once placed or unreached
+        waiting = np.bincount(p.indices, minlength=n * b).reshape(b, n) - 1.0
+        waiting[self.dist.T < INF] += 1.0
+        waiting[cols, self.sources] = -1.0
+        paths = np.zeros((b, n))     # sigma summed over placed preds
+        frontier = level == 0
+        depth = 0
+        while True:
+            got = p.T @ np.stack([frontier.ravel(),
+                                  (sigma * frontier).ravel()], axis=1)
+            waiting -= got[:, 0].reshape(b, n)
+            paths += got[:, 1].reshape(b, n)
+            new = waiting == 0.0
+            if not new.any():
+                return sigma, level, depth
+            depth += 1
+            level[new] = depth
+            waiting[new] = -1.0
+            sigma[new] = paths[new]
+            frontier = new
+
+    def _up(self, x, lvl):
+        pulled = (self._dag.T @ x.T.ravel()).reshape(x.shape[::-1]).T
+        return np.where(self.level == lvl, pulled, 0.0)
+
+    def _down(self, c, lvl):
+        return (self._dag @ c.T.ravel()).reshape(c.shape[::-1]).T
+
+
+def traverse(g: Graph, sources, cap: float | None = None):
+    """Shortest paths from `sources`, one `Traversal` block at a time.
+
+    Blocks cover `sources` in order; their size follows from a fixed
+    budget of entries per temporary. With `cap`, nodes farther than it
+    are unreachable; a distance within TIE_RTOL of the cap is kept.
+    Distances follow out-arcs.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    limit = INF if cap is None else cap * (1.0 + TIE_RTOL)
+    if g.unit_weights:
+        a = g.adjacency(False)
+        sweep = partial(_LevelSweep, a, a.T.tocsr() if g.directed else a)
+    else:
+        a = g.adjacency()
+        sweep = partial(_ArcSweep, a,
+                        np.repeat(np.arange(g.n), np.diff(a.indptr)))
+    b = max(1, _BLOCK_ENTRIES // max(g.n, a.nnz, 1))
+    for i in range(0, len(sources), b):
+        yield sweep(sources[i:i + b], limit)
+
 
 @dataclass
 class ShortestPaths:
-    """Single-source result: distances, geodesic counts, and the
-    shortest-path DAG (predecessor lists + a stack in non-decreasing
-    distance order) needed by dependency accumulation."""
+    """Single-source distances and geodesic counts (float64)."""
 
     source: int
     dist: list[float]
-    sigma: list[int]
-    preds: list[list[int]]
-    order: list[int]      # visited nodes, non-decreasing distance
+    sigma: list[float]
 
 
 def shortest_paths(g: Graph, source: int, cap: float | None = None,
                    reverse: bool = False) -> ShortestPaths:
-    """BFS when all weights are 1, Dijkstra otherwise.
+    """One-source call of `traverse`: BFS when all weights are 1,
+    Dijkstra otherwise.
 
     Unreachable nodes get distance inf and sigma 0. With `cap`, nodes
     beyond that distance are treated as unreachable. `reverse` walks
@@ -250,102 +439,17 @@ def shortest_paths(g: Graph, source: int, cap: float | None = None,
     """
     if not 0 <= source < g.n:
         raise GraphInputError(f"invalid source node {source}")
-    adj = g.in_adj if reverse else g.adj
-    if g.unit_weights:
-        return _bfs(g.n, adj, source, cap)
-    return _dijkstra(g.n, adj, source, cap)
-
-
-def _bfs(n, adj, source, cap):
-    dist = [INF] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order = [source]
-    dist[source] = 0.0
-    sigma[source] = 1
-    q = deque([source])
-    limit = INF if cap is None else cap
-    while q:
-        v = q.popleft()
-        dv = dist[v]
-        if dv >= limit:
-            continue
-        sv = sigma[v]
-        for u, _ in adj[v]:
-            du = dist[u]
-            if du == INF:
-                dist[u] = dv + 1.0
-                q.append(u)
-                order.append(u)
-                sigma[u] = sv
-                preds[u].append(v)
-            elif du == dv + 1.0:
-                sigma[u] += sv
-                preds[u].append(v)
-    if cap is not None:
-        for v in range(n):
-            if dist[v] > cap:
-                dist[v] = INF
-                sigma[v] = 0
-                preds[v] = []
-        order = [v for v in order if dist[v] < INF]
-    return ShortestPaths(source, dist, sigma, preds, order)
-
-
-# Relative tolerance under which two path lengths count as equal: sums
-# of a few thousand float64 terms stay within it of their exact value.
-TIE_RTOL = 1e-12
-
-
-def _ties(a: float, b: float) -> bool:
-    """a and b agree within TIE_RTOL; inf ties with nothing finite."""
-    return abs(a - b) <= TIE_RTOL * min(abs(a), abs(b))
-
-
-def _dijkstra(n, adj, source, cap):
-    dist = [INF] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    done = [False] * n
-    order = []
-    dist[source] = 0.0
-    sigma[source] = 1
-    heap = [(0.0, source)]
-    limit = INF if cap is None else cap
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        if dv > limit and not _ties(dv, limit):
-            break
-        order.append(v)
-        sv = sigma[v]
-        for u, w in adj[v]:
-            if done[u]:
-                continue
-            alt = dv + w
-            du = dist[u]
-            if _ties(alt, du):
-                sigma[u] += sv
-                preds[u].append(v)
-            elif alt < du:
-                dist[u] = alt
-                sigma[u] = sv
-                preds[u] = [v]
-                heapq.heappush(heap, (alt, u))
-    for v in range(n):
-        if dist[v] > limit and not _ties(dist[v], limit):
-            dist[v] = INF
-            sigma[v] = 0
-            preds[v] = []
-    order = [v for v in order if dist[v] < INF]
-    return ShortestPaths(source, dist, sigma, preds, order)
+    if reverse:
+        g = replace(g, adj=g.in_adj, in_adj=g.adj)
+    t = next(traverse(g, [source], cap))
+    return ShortestPaths(source, t.dist[:, 0].tolist(),
+                         t.sigma[:, 0].tolist())
 
 
 def all_distances(g: Graph, cap: float | None = None) -> list[list[float]]:
     """Distance rows from every source (out-distances when directed)."""
-    return [shortest_paths(g, s, cap=cap).dist for s in range(g.n)]
+    return [row for t in traverse(g, range(g.n), cap)
+            for row in t.dist.T.tolist()]
 
 
 # -- connected components ----------------------------------------------

@@ -287,7 +287,8 @@ def k_component(g: Graph, k: int) -> tuple:
     core = k_core_set(g, k)
     if not core:
         return best
-    sub_labels = components(g, mask=[v in set(core) for v in range(g.n)])
+    in_core = set(core)
+    sub_labels = components(g, mask=[v in in_core for v in range(g.n)])
     stack = [sorted(sub_labels.members(c)) for c in range(len(sub_labels.sizes))
              if sub_labels.sizes[c] > k]
     seen: set = set()
