@@ -8,13 +8,16 @@ deterministic augmenting order, and the linear-algebra layer.
 `Graph.adjacency` is the graph as a read-only scipy.sparse CSR operator,
 built once; `m`, `unit_weights` and `components` (through
 scipy.sparse.csgraph) read it. `traverse` runs shortest paths from a
-block of sources at a time: on unit weights a level-synchronous BFS of
-sparse x dense-block products, otherwise scipy's Dijkstra with the
-shortest-path DAG (arcs whose d(u) + w ties d(v) under `TIE_RTOL`)
-built as one sparse matrix. Both give distances and float64 path counts
-(sigma) as (n, b) arrays, and one backward sweep over the DAG levels
-that Brandes dependencies and Goh's load reduce over; `shortest_paths`
-and `all_distances` are calls of it. `fixed_point` is the one loop that
+block of sources at a time. On unit weights, while the search stays
+shallow, it is a level-synchronous BFS of sparse x dense-block
+products. Otherwise scipy's Dijkstra gives the distances, and the
+shortest-path DAG (arcs whose d(u) + w ties d(v) under `TIE_RTOL`),
+ordered by distance, turns path counts and the backward sweep into
+sparse triangular solves, at a cost that does not grow with the depth.
+Both give distances and float64 path counts (sigma) as (n, b) arrays,
+and one backward sweep over the DAG that Brandes dependencies and
+Goh's load reduce over; `shortest_paths` and `all_distances` are calls
+of it. `fixed_point` is the one loop that
 iterates a step map until successive iterates agree in the sup norm;
 `power_iteration` runs it with an L2-normalising step. Dense solves and
 eigendecompositions pass `require_dense` before they allocate.
@@ -26,13 +29,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import (
     ConvergenceError,
@@ -138,6 +142,20 @@ class Graph:
                 arr.flags.writeable = False
         return a, unit
 
+    @cached_property
+    def arc_tails(self) -> np.ndarray:
+        """Tail node of every arc of `adjacency()`, in storage order."""
+        indptr = self.adjacency().indptr
+        return np.repeat(np.arange(self.n), np.diff(indptr))
+
+    @cached_property
+    def reversed(self) -> Graph:
+        """The graph with every arc turned around (itself when
+        undirected)."""
+        if not self.directed:
+            return self
+        return replace(self, adj=self.in_adj, in_adj=self.adj)
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense weighted adjacency; A[u][v] = w for an arc u->v."""
         require_dense(self.n, "dense adjacency")
@@ -240,6 +258,12 @@ TIE_RTOL = 1e-12
 # (arcs, b) temporary, so b = _BLOCK_ENTRIES // max(n, arcs) sources.
 _BLOCK_ENTRIES = 1 << 17
 
+# The level sweep stops at this many levels and hands the block, and
+# every later one, to the distance-ordered sweep: each level costs a
+# full-width pass, while the distance-ordered sweep costs about as much
+# as this many of them whatever the depth.
+_MAX_LEVELS = 32
+
 
 def reciprocal(x):
     """1/x where x is non-zero, 0 elsewhere."""
@@ -248,153 +272,177 @@ def reciprocal(x):
 
 class Traversal:
     """Shortest paths from one block of b sources, as (n, b) arrays in
-    which column j belongs to `sources[j]`.
-
-    `dist` is inf where a node is unreachable (or beyond the cap);
-    `sigma` counts geodesics in float64, exact below 2**53. The
-    shortest-path DAG is swept level by level: `level` is each node's
-    hop level in it (0 at the source, -1 unreached), and every arc of
-    the DAG runs from a lower level to a higher one.
-    """
+    which column j belongs to `sources[j]`: `dist` (inf where a node is
+    unreachable or beyond the cap) and `sigma`, the geodesic counts in
+    float64, exact below 2**53."""
 
     sources: np.ndarray
     dist: np.ndarray
     sigma: np.ndarray
-    level: np.ndarray
-    depth: int
-
-    def _up(self, x, lvl):
-        """For each node on level `lvl`, the sum of x over its DAG
-        predecessors; 0 on every other level."""
-        raise NotImplementedError
-
-    def _down(self, c, lvl):
-        """For each node, the sum of c over its DAG successors, where c
-        is zero off level `lvl`."""
-        raise NotImplementedError
 
     def pred_count(self) -> np.ndarray:
-        """Number of DAG predecessors of every node."""
-        ones = np.ones_like(self.dist)
-        return sum((self._up(ones, lvl) for lvl in range(1, self.depth + 1)),
-                   np.zeros_like(self.dist))
+        """Number of shortest-path DAG predecessors of every node."""
+        raise NotImplementedError
 
     def accumulate(self, left, right) -> np.ndarray:
         """The backward sweep x(v) = left(v) * sum over DAG successors w
-        of right(w) * (1 + x(w)), from the deepest level up; 0 at the
-        sources. Brandes dependencies take left = sigma, right =
-        1/sigma; Goh's load takes left = 1, right = 1/pred_count."""
-        x = np.zeros_like(self.dist)
-        for lvl in range(self.depth, 1, -1):
-            c = np.where(self.level == lvl, right * (1.0 + x), 0.0)
-            x += left * self._down(c, lvl)
-        x[self.sources, np.arange(len(self.sources))] = 0.0
-        return x
+        of right(w) * (1 + x(w)); 0 at the sources. Brandes dependencies
+        take left = sigma, right = 1/sigma; Goh's load takes left = 1,
+        right = 1/pred_count."""
+        raise NotImplementedError
 
 
 class _LevelSweep(Traversal):
     """Unit weights: a level-synchronous BFS of sparse x dense-block
-    products, where the DAG arcs are the arcs from level l-1 to l."""
+    products, where the DAG arcs are the arcs from level l-1 to l.
+    `complete` is False when the BFS stopped at _MAX_LEVELS."""
 
-    def __init__(self, a, at, sources, limit):
+    def __init__(self, a, at, tails, sources, limit):
         n, b = a.shape[0], len(sources)
         cols = np.arange(b)
-        self.a, self.at, self.sources = a, at, sources
+        self.a, self.tails, self.sources = a, tails, sources
         self.level = np.full((n, b), -1, dtype=np.int32)
         self.level[sources, cols] = 0
         self.sigma = np.zeros((n, b))
         self.sigma[sources, cols] = 1.0
         frontier = self.sigma.copy()
-        depth = 0
-        while depth + 1 <= limit:
+        self.depth = 0
+        self.complete = True
+        while self.depth + 1 <= limit:
             reached = at @ frontier
             new = (reached > 0.0) & (self.level < 0)
             if not new.any():
                 break
-            depth += 1
-            self.level[new] = depth
+            if self.depth == _MAX_LEVELS:
+                self.complete = False
+                return
+            self.depth += 1
+            self.level[new] = self.depth
             frontier = np.where(new, reached, 0.0)
             self.sigma += frontier
-        self.depth = depth
         self.dist = np.where(self.level >= 0, self.level, INF)
 
-    def _up(self, x, lvl):
-        below = np.where(self.level == lvl - 1, x, 0.0)
-        return np.where(self.level == lvl, self.at @ below, 0.0)
+    def pred_count(self):
+        heads, preds = self.a.indices, np.zeros_like(self.dist)
+        # heads of the arcs from one level to the next, one source at a
+        # time so that the temporaries stay at one arc list
+        for j, lvl in enumerate(self.level.T):
+            lt = lvl[self.tails]
+            up = (lt >= 0) & (lvl[heads] == lt + 1)
+            preds[:, j] = np.bincount(heads[up], minlength=len(lvl))
+        return preds
 
-    def _down(self, c, lvl):
-        return np.where(self.level == lvl - 1, self.a @ c, 0.0)
+    def accumulate(self, left, right):
+        x = np.zeros_like(self.dist)
+        for lvl in range(self.depth, 1, -1):
+            c = np.where(self.level == lvl, right * (1.0 + x), 0.0)
+            x += left * np.where(self.level == lvl - 1, self.a @ c, 0.0)
+        x[self.sources, np.arange(len(self.sources))] = 0.0
+        return x
 
 
-class _ArcSweep(Traversal):
-    """Weighted graphs: distances from scipy's Dijkstra; the DAG is the
-    set of arcs u->v with d(u) < d(v) and d(u) + w tying d(v), held as
-    one sparse matrix over (source, node) pairs and built only when
-    sigma or a sweep is asked for. Levels come from peeling it in
-    topological rounds. Arrays are (b, n) inside and (n, b) views out."""
+class _OrderedSweep(Traversal):
+    """Any weights: distances from scipy's Dijkstra; the DAG is the set
+    of arcs u->v with d(u) < d(v) and d(u) + w tying d(v), over all
+    (node, source) pairs of the block at once, built on first use of
+    `sigma`, `pred_count` or `accumulate`. Ordered by distance, the
+    pairs make every DAG arc point forward, so path counts and the
+    backward sweep are each one sparse triangular solve, whatever the
+    depth of the DAG."""
 
     def __init__(self, a, tails, sources, limit):
         self.a, self.tails, self.sources = a, tails, sources
         self.dist = dijkstra(a, directed=True, indices=sources,
                              limit=limit).T
 
-    sigma = property(lambda self: self._peel[0].T)
-    level = property(lambda self: self._peel[1].T)
-    depth = property(lambda self: self._peel[2])
-
     @cached_property
     def _dag(self):
-        """P[j*n + u, j*n + v] = 1 for each DAG arc u->v of source j."""
+        """(tail, head, pos, structure): each DAG arc's ends as flat
+        indices j*n + u of (b, n) arrays; every pair's position in
+        distance order; and the CSR structure of the upper-triangular
+        system over those positions, with one entry per DAG arc, listed
+        in the same order, and the diagonal."""
         (n, b), a = self.dist.shape, self.a
+        d = self.dist.T
+        start = np.arange(b)[:, None] * n
+        size = n * b
+        pos = np.empty(size, dtype=np.int64)
+        pos[(np.argsort(d, axis=1) + start).ravel()] = np.arange(size)
         # nan marks unreached nodes, so no comparison with them holds;
         # Dijkstra leaves d(u) + w >= d(v) on every arc it relaxed
-        d = np.where(self.dist.T < INF, self.dist.T, np.nan)
-        du, dv = d[:, self.tails], d[:, a.indices]
+        dn = np.where(d < INF, d, np.nan)
+        du, dv = dn[:, self.tails], dn[:, a.indices]
         tie = (du < dv) & (du + a.data <= dv * (1.0 + TIE_RTOL))
         col, arc = np.divmod(np.flatnonzero(tie), a.nnz)
-        # tie is enumerated source by source, arc by arc: tails ascend
         tail, head = col * n + self.tails[arc], col * n + a.indices[arc]
-        indptr = np.searchsorted(tail, np.arange(n * b + 1))
-        return scipy.sparse.csr_matrix(
-            (np.ones(arc.size), head, indptr), shape=(n * b, n * b))
+        # the arc Dijkstra reached v by is in the DAG unless its weight
+        # vanished in d(u) + w, which leaves v without a predecessor
+        orphan = np.isfinite(d).ravel()
+        orphan[head] = False
+        orphan[start.ravel() + self.sources] = False
+        if orphan.any():
+            raise GraphInputError(
+                "edge weights differ by more than float64 precision: "
+                "adding one to a path length leaves it unchanged")
+        # rows sorted, and columns within a row; every arc lies above
+        # the diagonal, so each row starts with its diagonal entry
+        rows, cols = pos[tail], pos[head]
+        order = np.argsort(rows * size + cols)
+        indptr = np.zeros(size + 1, dtype=np.intc)
+        np.cumsum(np.bincount(rows, minlength=size) + 1, out=indptr[1:])
+        off = np.ones(indptr[-1], dtype=bool)
+        off[indptr[:-1]] = False
+        indices = np.empty(indptr[-1], dtype=np.intc)
+        indices[indptr[:-1]] = np.arange(size)
+        indices[off] = cols[order]
+        return tail[order], head[order], pos, (off, indices, indptr)
+
+    def _system(self, c):
+        """I - C in CSR over positions in distance order, where C holds
+        c[i] on the i-th DAG arc."""
+        _, _, pos, (off, indices, indptr) = self._dag
+        data = np.ones(off.size)
+        data[off] = -c
+        system = scipy.sparse.csr_matrix((data, indices, indptr),
+                                         shape=(pos.size, pos.size))
+        system.has_canonical_format = True
+        return system
+
+    def _unflat(self, x):
+        """A flat (b, n) array as an (n, b) one."""
+        return x.reshape(self.dist.shape[::-1]).T
 
     @cached_property
-    def _peel(self):
-        """(sigma, level, depth), as (b, n) arrays, from peeling the DAG
-        in rounds: a node joins the level after its last predecessor."""
-        (n, b), p = self.dist.shape, self._dag
-        cols = np.arange(b)
-        level = np.full((b, n), -1, dtype=np.int32)
-        level[cols, self.sources] = 0
-        sigma = np.zeros((b, n))
-        sigma[cols, self.sources] = 1.0
-        # predecessors not yet on a level; -1 once placed or unreached
-        waiting = np.bincount(p.indices, minlength=n * b).reshape(b, n) - 1.0
-        waiting[self.dist.T < INF] += 1.0
-        waiting[cols, self.sources] = -1.0
-        paths = np.zeros((b, n))     # sigma summed over placed preds
-        frontier = level == 0
-        depth = 0
-        while True:
-            got = p.T @ np.stack([frontier.ravel(),
-                                  (sigma * frontier).ravel()], axis=1)
-            waiting -= got[:, 0].reshape(b, n)
-            paths += got[:, 1].reshape(b, n)
-            new = waiting == 0.0
-            if not new.any():
-                return sigma, level, depth
-            depth += 1
-            level[new] = depth
-            waiting[new] = -1.0
-            sigma[new] = paths[new]
-            frontier = new
+    def sigma(self):
+        tail, _, pos, _ = self._dag
+        e = np.zeros(pos.size)
+        e[pos[np.arange(len(self.sources)) * self.dist.shape[0] +
+              self.sources]] = 1.0
+        # sigma = e + Q^T sigma for the DAG's 0/1 matrix Q, lower
+        # triangular
+        y = spsolve_triangular(self._system(np.ones(tail.size)).T, e,
+                               lower=True, unit_diagonal=True,
+                               overwrite_A=True, overwrite_b=True)
+        return self._unflat(y[pos])
 
-    def _up(self, x, lvl):
-        pulled = (self._dag.T @ x.T.ravel()).reshape(x.shape[::-1]).T
-        return np.where(self.level == lvl, pulled, 0.0)
+    def pred_count(self):
+        head = self._dag[1]
+        return self._unflat(np.bincount(head, minlength=self.dist.size)
+                            .astype(float))
 
-    def _down(self, c, lvl):
-        return (self._dag @ c.T.ravel()).reshape(c.shape[::-1]).T
+    def accumulate(self, left, right):
+        tail, head, pos, _ = self._dag
+        shape = self.dist.shape
+        c = np.broadcast_to(left, shape).T.ravel()[tail] * \
+            np.broadcast_to(right, shape).T.ravel()[head]
+        # x = C (1 + x) is (I - C) x = C 1, upper triangular
+        x = spsolve_triangular(
+            self._system(c), np.bincount(pos[tail], c, minlength=pos.size),
+            lower=False, unit_diagonal=True, overwrite_A=True,
+            overwrite_b=True)
+        x = self._unflat(x[pos])
+        x[self.sources, np.arange(len(self.sources))] = 0.0
+        return x
 
 
 def traverse(g: Graph, sources, cap: float | None = None):
@@ -403,35 +451,43 @@ def traverse(g: Graph, sources, cap: float | None = None):
     Blocks cover `sources` in order; their size follows from a fixed
     budget of entries per temporary. With `cap`, nodes farther than it
     are unreachable; a distance within TIE_RTOL of the cap is kept.
-    Distances follow out-arcs.
+    Distances follow out-arcs. Blocks of several sources on unit-weight
+    graphs take the level sweep until one is deeper than _MAX_LEVELS;
+    the rest take the distance-ordered sweep.
     """
     sources = np.asarray(sources, dtype=np.int64)
     limit = INF if cap is None else cap * (1.0 + TIE_RTOL)
-    if g.unit_weights:
-        a = g.adjacency(False)
-        sweep = partial(_LevelSweep, a, a.T.tocsr() if g.directed else a)
-    else:
-        a = g.adjacency()
-        sweep = partial(_ArcSweep, a,
-                        np.repeat(np.arange(g.n), np.diff(a.indptr)))
+    a = g.adjacency()
     b = max(1, _BLOCK_ENTRIES // max(g.n, a.nnz, 1))
+    levels = g.unit_weights and min(b, len(sources)) > 1
     for i in range(0, len(sources), b):
-        yield sweep(sources[i:i + b], limit)
+        block = sources[i:i + b]
+        if levels:
+            t = _LevelSweep(a, g.reversed.adjacency(), g.arc_tails, block,
+                            limit)
+            levels = t.complete
+        if not levels:
+            t = _OrderedSweep(a, g.arc_tails, block, limit)
+        yield t
 
 
-@dataclass
 class ShortestPaths:
-    """Single-source distances and geodesic counts (float64)."""
+    """Single-source distances and geodesic counts (float64), as lists;
+    the counts are computed on first use."""
 
-    source: int
-    dist: list[float]
-    sigma: list[float]
+    def __init__(self, source: int, t: Traversal):
+        self.source = source
+        self._t = t
+        self.dist = t.dist[:, 0].tolist()
+
+    @cached_property
+    def sigma(self) -> list[float]:
+        return self._t.sigma[:, 0].tolist()
 
 
 def shortest_paths(g: Graph, source: int, cap: float | None = None,
                    reverse: bool = False) -> ShortestPaths:
-    """One-source call of `traverse`: BFS when all weights are 1,
-    Dijkstra otherwise.
+    """One-source call of `traverse`, which runs Dijkstra for it.
 
     Unreachable nodes get distance inf and sigma 0. With `cap`, nodes
     beyond that distance are treated as unreachable. `reverse` walks
@@ -440,10 +496,8 @@ def shortest_paths(g: Graph, source: int, cap: float | None = None,
     if not 0 <= source < g.n:
         raise GraphInputError(f"invalid source node {source}")
     if reverse:
-        g = replace(g, adj=g.in_adj, in_adj=g.adj)
-    t = next(traverse(g, [source], cap))
-    return ShortestPaths(source, t.dist[:, 0].tolist(),
-                         t.sigma[:, 0].tolist())
+        g = g.reversed
+    return ShortestPaths(source, next(traverse(g, [source], cap)))
 
 
 def all_distances(g: Graph, cap: float | None = None) -> list[list[float]]:

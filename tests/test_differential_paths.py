@@ -4,8 +4,10 @@ networkx and against the per-source Python traversal in oracles.py.
 Five variants of Barabasi-Albert edges: undirected; randomly oriented
 (directed); undirected with weights uniform in [0.5, 4]; undirected with
 weights in {1, 2, 3}, whose exact sums make many routes tie in length;
-and the disconnected union of two draws of 150 nodes. A 32 x 32 grid checks
-betweenness where geodesic counts pass 2**53.
+and the disconnected union of two draws of 150 nodes. A sixth variant,
+deeper than the level sweep goes, is a cycle of 300 nodes with three
+chords. A 32 x 32 grid checks betweenness where geodesic counts pass
+2**53.
 """
 
 import math
@@ -32,6 +34,9 @@ def _variant(kind, seed):
         return ba_edges(half, 3, seed) + [
             (u + half, v + half) for u, v in ba_edges(half, 3, seed + 1)
         ], False, False
+    if kind == "ring":
+        return [(v, (v + 1) % N) for v in range(N)] + \
+            [(0, 100), (50, 200), (150, 250)], False, False
     edges = ba_edges(N, 3, seed)
     if kind == "directed":
         return [(v, u) if rng.random() < 0.5 else (u, v)
@@ -46,7 +51,8 @@ def _variant(kind, seed):
 
 
 @pytest.fixture(scope="module",
-                params=["undirected", "directed", "weighted", "ties", "union"])
+                params=["undirected", "directed", "weighted", "ties", "union",
+                        "ring"])
 def case(request):
     """(centnet graph, networkx graph on its ids, weight key or None)."""
     edges, directed, weighted = _variant(request.param, 21)
@@ -124,8 +130,10 @@ def test_distance_family(case):
 
 
 def test_l_betweenness(case):
-    g, _, _ = case
+    g, h, _ = case
     cap = 3.0 if g.unit_weights else 4.5
+    if h.graph["kind"] == "ring":
+        cap = 40.0      # past the level sweep's depth limit
     got = betweenness_family(g, "l-betweenness", MetricParams(L=cap)).values
     _close(got, oracles.source_betweenness(g, cap=cap))
 

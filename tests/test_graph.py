@@ -18,8 +18,8 @@ from centnet import (
     solve_linear,
 )
 from centnet import iterative
-from centnet.globalmetrics import information_centrality
-from centnet.graph import DENSE_CAP, spectral_radius
+from centnet.globalmetrics import betweenness_family, information_centrality
+from centnet.graph import DENSE_CAP, spectral_radius, traverse
 from centnet.iterative import eigen_family, subgraph_centrality
 from conftest import complete_graph, path_graph, star_graph
 from _synth import er_graph
@@ -111,6 +111,29 @@ class TestShortestPaths:
         sp = shortest_paths(g, g.id_of("s"))
         assert sp.dist[g.id_of("t")] == 2.0
         assert sp.sigma[g.id_of("t")] == 3
+
+    def test_weight_lost_in_a_path_sum_raises(self):
+        # 1e17 + 1 == 1e17 in float64, so b ties a and has no shortest-path
+        # predecessor to count its paths from
+        g = build_graph([("s", "a", 1e17), ("a", "b", 1.0)])
+        sp = shortest_paths(g, g.id_of("s"))
+        assert sp.dist[g.id_of("b")] == 1e17
+        with pytest.raises(GraphInputError, match="float64 precision"):
+            sp.sigma
+        with pytest.raises(GraphInputError, match="float64 precision"):
+            betweenness_family(g)
+
+    def test_sweep_follows_the_observed_depth(self):
+        # the level sweep pays one full-width pass per level, so a block
+        # deeper than it goes takes the distance-ordered sweep; so does a
+        # lone source
+        def sweeps(g, sources):
+            return [type(t).__name__ for t in traverse(g, sources)]
+        shallow = complete_graph(6)
+        deep = build_graph([(v, (v + 1) % 200) for v in range(200)])
+        assert set(sweeps(shallow, range(6))) == {"_LevelSweep"}
+        assert set(sweeps(deep, range(200))) == {"_OrderedSweep"}
+        assert sweeps(shallow, [0]) == ["_OrderedSweep"]
 
     def test_dijkstra_ties_are_relative(self):
         # route sums that are equal in exact arithmetic tie at weights
