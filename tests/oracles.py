@@ -430,6 +430,149 @@ def random_walk_betweenness(g):
     return [x / denom for x in raw]
 
 
+# -- greedy seed selection ------------------------------------------------
+#
+# The per-step Python loops that rescan every candidate, as the reference
+# for the array strategies in groupselect. Each returns (seeds,
+# [(chosen, score) per step], stop_reason); ties go to the lowest id.
+
+
+def _argmax(scores):
+    best_v, best_s = None, -INF
+    for v in sorted(scores):
+        if scores[v] > best_s:
+            best_v, best_s = v, scores[v]
+    return best_v, best_s
+
+
+def single_discount(g, budget):
+    deg = g.degrees()
+    nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+    seeds, steps, chosen = [], [], set()
+    while len(seeds) < budget:
+        scores = {u: float(deg[u] - len(nbr[u] & chosen))
+                  for u in range(g.n) if u not in chosen}
+        v, s = _argmax(scores)
+        seeds.append(v)
+        chosen.add(v)
+        steps.append((v, s))
+    return seeds, steps, "budget"
+
+
+def degree_discount(g, budget, p=0.05):
+    deg = g.degrees()
+    nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+    seeds, steps, chosen = [], [], set()
+    while len(seeds) < budget:
+        scores = {}
+        for u in range(g.n):
+            if u in chosen:
+                continue
+            t = len(nbr[u] & chosen)
+            scores[u] = deg[u] - 2.0 * t - (deg[u] - t) * t * p
+        v, s = _argmax(scores)
+        seeds.append(v)
+        chosen.add(v)
+        steps.append((v, s))
+    return seeds, steps, "budget"
+
+
+def degree_punishment(g, budget, omega=0.05, r=2, initial_seeds=()):
+    n = g.n
+    deg = g.degrees()
+    seeds, steps = [], []
+    penalty = [0.0] * n
+
+    def absorb(v):
+        # walks of length 1..r-1 along the arcs out of the new seed
+        walk = [0.0] * n
+        walk[v] = 1.0
+        scale = omega
+        for _ in range(1, r):
+            nxt = [0.0] * n
+            for a in range(n):
+                if walk[a]:
+                    for b, _w in g.adj[a]:
+                        nxt[b] += walk[a]
+            for b in range(n):
+                penalty[b] += deg[v] * nxt[b] * scale
+            walk = nxt
+            scale *= omega
+
+    for v in initial_seeds:
+        seeds.append(v)
+        absorb(v)
+    while len(seeds) < budget:
+        scores = {u: deg[u] - penalty[u] for u in range(n) if u not in seeds}
+        v, s = _argmax(scores)
+        seeds.append(v)
+        steps.append((v, s))
+        absorb(v)
+    return seeds, steps, "budget"
+
+
+def _shell_degree_sum(adj_sets, res_deg, removed, v, ell):
+    """Sum of (residual degree - 1) over the nodes at distance ell."""
+    seen = {v}
+    frontier = [v]
+    for _ in range(ell):
+        nxt = []
+        for a in frontier:
+            for b in adj_sets[a]:
+                if b not in seen and not removed[b]:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return float(sum(res_deg[b] - 1 for b in frontier))
+
+
+def _ci_scores(adj_sets, res_deg, removed, ell):
+    return {v: (res_deg[v] - 1) * _shell_degree_sum(
+        adj_sets, res_deg, removed, v, ell)
+        for v in range(len(adj_sets)) if not removed[v]}
+
+
+def collective_influence(g, budget=None, ell=2, stop_on_lambda=False):
+    """CI recomputed for every node from scratch at every step."""
+    n = g.n
+    adj_sets = [set(g.all_neighbors(v)) for v in range(n)]
+    res_deg = [len(s) for s in adj_sets]
+    removed = [False] * n
+    mean_deg = sum(res_deg) / n if n else 0.0
+    seeds, steps = [], []
+    limit = budget if budget is not None else n
+    while len(seeds) < limit:
+        ci = _ci_scores(adj_sets, res_deg, removed, ell)
+        if stop_on_lambda and n and mean_deg > 0:
+            lam = (sum(ci.values()) / (n * mean_deg)) ** (1.0 / (ell + 1))
+            if lam <= 1.0:
+                return seeds, steps, "stopping-rule"
+        if not ci:
+            return seeds, steps, "exhausted"
+        v, s = _argmax(ci)
+        seeds.append(v)
+        steps.append((v, s))
+        removed[v] = True
+        for b in adj_sets[v]:
+            if not removed[b]:
+                res_deg[b] -= 1
+    return seeds, steps, "budget"
+
+
+def collective_influence_lambda(g, removed_nodes, ell=2):
+    n = g.n
+    adj_sets = [set(g.all_neighbors(v)) for v in range(n)]
+    removed = [False] * n
+    for v in removed_nodes:
+        removed[v] = True
+    res_deg = [sum(1 for b in s if not removed[b]) for s in adj_sets]
+    mean_deg = sum(len(s) for s in adj_sets) / n if n else 0.0
+    if n == 0 or mean_deg == 0:
+        return 0.0
+    total = sum(_ci_scores(adj_sets, res_deg, removed, ell).values())
+    return (total / (n * mean_deg)) ** (1.0 / (ell + 1))
+
+
 def quantize(values, rel=1e-9):
     """Round scores to a relative grid so exact mathematical ties that
     differ by accumulation-order noise rank as ties."""
