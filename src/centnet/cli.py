@@ -125,6 +125,9 @@ def _cmd_attack(args) -> int:
         sys.stdout.write(payload)
     else:
         print(f"wrote {config.output_path}")
+    for name, reason, padded in result.selections:
+        print(f"selection[{name}]: stop_reason {reason}, {padded} budget "
+              "slots padded in id order", file=sys.stderr)
     for name, message in result.errors:
         print(f"error[{name}]: {message}", file=sys.stderr)
     return EXIT_OK if not result.errors else EXIT_COMPUTE

@@ -72,6 +72,8 @@ class ExperimentResult:
     rows: list
     summary: dict                   # (metric, phi) -> (mean, std)
     errors: list = field(default_factory=list)
+    # (strategy source, stop reason, budget slots padded in id order)
+    selections: list = field(default_factory=list)
 
 
 def rank_targets(scores: ScoreVector) -> list[int]:
@@ -194,12 +196,13 @@ def _source_name(source) -> str:
 
 
 def _resolve_ordering(g: Graph, source, plan: AttackPlan):
-    """Static target ordering for a source, or None for random."""
+    """Static target ordering for a source (None for random), and for a
+    strategy source its (stop reason, budget slots padded in id order)."""
     from . import registry
 
     if source == "random" or (isinstance(source, dict)
                               and source.get("metric") == "random"):
-        return None
+        return None, None
     if isinstance(source, dict) and "strategy" in source:
         budget = max((removal_count(phi, g.n) for phi in plan.phi_grid),
                      default=0)
@@ -208,11 +211,13 @@ def _resolve_ordering(g: Graph, source, plan: AttackPlan):
                                        source.get("params") or {})
         order = list(result.seeds)
         chosen = set(order)
-        return order + [v for v in range(g.n) if v not in chosen]
+        padded = max(0, budget - len(order))
+        return order + [v for v in range(g.n) if v not in chosen], \
+            (result.stop_reason, padded)
     metric_id = source if isinstance(source, str) else source["metric"]
     overrides = {} if isinstance(source, str) else (source.get("params") or {})
     scores = registry.compute_point_metric(g, metric_id, overrides)
-    return rank_targets(scores)
+    return rank_targets(scores), None
 
 
 def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
@@ -220,14 +225,18 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
     per-(source, phi) mean and standard deviation."""
     rows: list[AttackOutcome] = []
     errors: list[tuple[str, str]] = []
+    selections: list[tuple[str, str, int]] = []
     n = g.n
+    intact_giant = None
     for source in plan.sources:
         name = _source_name(source)
         try:
-            ordering = _resolve_ordering(g, source, plan)
+            ordering, selection = _resolve_ordering(g, source, plan)
         except Exception as exc:    # per-metric failure: record, continue
             errors.append((name, f"{type(exc).__name__}: {exc}"))
             continue
+        if selection is not None:
+            selections.append((name, *selection))
         for run in range(plan.runs):
             order = ordering
             if order is None:
@@ -243,8 +252,10 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
             for phi in plan.phi_grid:
                 k = removal_count(phi, n)
                 if k == 0:
-                    giant = components(g).giant_size / n if n else 0.0
-                    rows.append(AttackOutcome(name, phi, run, giant,
+                    if intact_giant is None:
+                        intact_giant = \
+                            components(g).giant_size / n if n else 0.0
+                    rows.append(AttackOutcome(name, phi, run, intact_giant,
                                               seeds=0, infected_total=0,
                                               node_states=["S"] * n))
                     continue
@@ -262,4 +273,4 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
         mean = sum(vals) / len(vals)
         var = sum((x - mean) ** 2 for x in vals) / len(vals)
         summary[key] = (mean, math.sqrt(var))
-    return ExperimentResult(rows, summary, errors)
+    return ExperimentResult(rows, summary, errors, selections)

@@ -262,6 +262,24 @@ class TestCli:
             return [r[:t] + r[t + 1:] for r in rows]
         assert untimed(out1) == untimed(out2)
 
+    def test_attack_reports_padding_on_stderr(self, tmp_path, p3_file,
+                                              capsys):
+        cfg = tmp_path / "cfg.json"
+        base = {
+            "input_path": p3_file,
+            "directed": False,
+            "metrics": [{"strategy": "degree-distance",
+                         "params": {"t_td": 5}}],
+            "attack": {"kind": "non-infectious", "phi_grid": [1.0]},
+            "output_format": "csv",
+        }
+        cfg.write_text(json.dumps(base))
+        assert cli_mod.main(["attack", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "selection[degree-distance]: stop_reason infeasible, " \
+            "2 budget slots padded in id order" in err.splitlines()
+        assert "padded" not in out and "infeasible" not in out
+
     def test_bench_schema_stable(self, p3_file, capsys):
         for repeat in ("1", "3"):
             rc = cli_mod.main(["bench", p3_file, "--metrics",

@@ -198,6 +198,23 @@ class TestRunExperiment:
         row = [r for r in res.rows if r.phi > 0][0]
         assert row.giant_fraction == pytest.approx(0.2)
 
+    def test_padded_strategy_is_reported(self, s5):
+        # on a star, t_td 5 keeps every other node too close to the hub:
+        # degree-distance stops infeasible after one seed, and the other
+        # three of the four budget slots are filled in id order
+        plan = AttackPlan("non-infectious",
+                          [{"strategy": "degree-distance",
+                            "params": {"t_td": 5}}, "degree"], [0.8],
+                          runs=1)
+        res = run_experiment(plan, s5)
+        assert res.selections == [("degree-distance", "infeasible", 3)]
+
+    def test_full_strategy_reports_no_padding(self, s5):
+        plan = AttackPlan("infectious", [{"strategy": "single-discount"}],
+                          [0.4], runs=2)
+        res = run_experiment(plan, s5)
+        assert res.selections == [("single-discount", "budget", 0)]
+
     def test_plan_validation(self):
         with pytest.raises(GraphInputError):
             AttackPlan("bogus", [], [0.1])
