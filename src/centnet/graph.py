@@ -143,6 +143,21 @@ class Graph:
         return a, unit
 
     @cached_property
+    def undirected_adjacency(self) -> scipy.sparse.csr_matrix:
+        """Read-only 0/1 CSR operator of `all_neighbors`: the adjacency
+        with direction ignored; `adjacency(False)` itself when
+        undirected."""
+        a = self.adjacency(False)
+        if not self.directed:
+            return a
+        sym = (a + a.T).tocsr()
+        sym.data[:] = 1.0
+        sym.sort_indices()
+        for arr in (sym.data, sym.indices, sym.indptr):
+            arr.flags.writeable = False
+        return sym
+
+    @cached_property
     def arc_tails(self) -> np.ndarray:
         """Tail node of every arc of `adjacency()`, in storage order."""
         indptr = self.adjacency().indptr
