@@ -227,7 +227,8 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
     errors: list[tuple[str, str]] = []
     selections: list[tuple[str, str, int]] = []
     n = g.n
-    intact_giant = None
+    if plan.kind == "infectious":       # the phi = 0 rows' giant
+        intact_giant = components(g).giant_size / n if n else 0.0
     for source in plan.sources:
         name = _source_name(source)
         try:
@@ -252,9 +253,6 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
             for phi in plan.phi_grid:
                 k = removal_count(phi, n)
                 if k == 0:
-                    if intact_giant is None:
-                        intact_giant = \
-                            components(g).giant_size / n if n else 0.0
                     rows.append(AttackOutcome(name, phi, run, intact_giant,
                                               seeds=0, infected_total=0,
                                               node_states=["S"] * n))
