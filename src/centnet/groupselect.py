@@ -106,7 +106,7 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
     return SelectionResult(seeds, steps, "budget")
 
 
-# -- greedy picks: discount heuristics, degree punishment ----------------------
+# -- greedy picks: discount heuristics, degree punishment ---------------------
 
 
 def _greedy(g: Graph, budget: int, score, absorb, initial=(),

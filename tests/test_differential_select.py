@@ -75,6 +75,17 @@ def test_er_variant_has_isolated_nodes():
     assert 0 in h.degrees()
 
 
+def test_undirected_adjacency_is_all_neighbors(g):
+    sym = g.undirected_adjacency
+    assert sym is g.undirected_adjacency
+    assert not sym.data.flags.writeable and set(sym.data) == {1.0}
+    if not g.directed:
+        assert sym is g.adjacency(False)
+    for v in range(g.n):
+        row = sym.indices[sym.indptr[v]:sym.indptr[v + 1]]
+        assert row.tolist() == g.all_neighbors(v)
+
+
 def test_single_discount(g):
     assert _triple(single_discount(g, BUDGET)) == \
         oracles.single_discount(g, BUDGET)
