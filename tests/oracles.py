@@ -445,6 +445,52 @@ def _argmax(scores):
     return best_v, best_s
 
 
+def degree_distance(g, params, variant="plain"):
+    """Every candidate checked against every seed's distance row at each
+    step, with the pooled seed-neighbour sets rebuilt per step. Steps
+    are (chosen, score, excluded), `excluded` the non-seeds ruled out."""
+    n = g.n
+    deg = g.degrees()
+    nbr = [set(g.all_neighbors(v)) for v in range(n)]
+    seeds, steps, seed_dist = [], [], {}
+
+    def admissible(u, seed_nbrs, seed_nbrs2):
+        near = [s for s in seeds if seed_dist[s][u] < params.t_td]
+        if not near:
+            return True
+        if variant == "plain":
+            return False
+        pooled = len(nbr[u] & seed_nbrs) + len(nbr[u] & seed_nbrs2)
+        if pooled >= params.theta:
+            return False
+        if variant == "sidd":
+            p = params.p
+            for s in near:
+                direct = p if u in nbr[s] else 0.0
+                influence = direct + sum(p * p for w in nbr[u] & nbr[s])
+                if influence > params.beta_inf:
+                    return False
+        return True
+
+    while len(seeds) < params.budget:
+        seed_nbrs, seed_nbrs2 = set(), set()
+        for s in seeds:
+            seed_nbrs |= nbr[s]
+            for w in nbr[s]:
+                seed_nbrs2 |= nbr[w]
+        seed_nbrs -= set(seeds)
+        seed_nbrs2 -= set(seeds)
+        ok = {u: float(deg[u]) for u in range(n)
+              if u not in seeds and admissible(u, seed_nbrs, seed_nbrs2)}
+        if not ok:
+            return seeds, steps, "infeasible"
+        v, s = _argmax(ok)
+        steps.append((v, s, n - len(seeds) - len(ok)))
+        seeds.append(v)
+        seed_dist[v] = single_source(g, v)[0]
+    return seeds, steps, "budget"
+
+
 def single_discount(g, budget):
     deg = g.degrees()
     nbr = [set(g.all_neighbors(v)) for v in range(g.n)]

@@ -5,7 +5,9 @@ step's (chosen, score) and the stop reason.
 Four variants: Barabasi-Albert edges; the same edges randomly oriented,
 one in ten of them both ways, so that a node's degree (in + out) differs
 from its count of neighbours; the disconnected union of two draws of 150
-nodes; and a sparse Erdos-Renyi draw with isolated nodes.
+nodes; and a sparse Erdos-Renyi draw with isolated nodes. Degree-distance
+also runs on the Barabasi-Albert edges with dyadic weights, whose path
+sums are exact and can land on the threshold distance.
 """
 
 import random
@@ -14,11 +16,12 @@ import pytest
 
 import oracles
 from _synth import ba_edges, er_edges
-from centnet import build_graph
+from centnet import GroupSelectParams, build_graph
 from centnet.groupselect import (
     collective_influence,
     collective_influence_lambda,
     degree_discount,
+    degree_distance,
     degree_punishment,
     single_discount,
 )
@@ -38,6 +41,9 @@ def _variant(kind, seed):
     if kind == "er":
         return er_edges(N, 0.006, seed), False
     edges = ba_edges(N, 3, seed)
+    if kind == "weighted":
+        return [(u, v, rng.choice((0.5, 1.0, 1.5, 2.0))) for u, v in edges], \
+            False
     if kind == "directed":
         arcs = []
         for u, v in edges:
@@ -52,6 +58,13 @@ def _variant(kind, seed):
 
 @pytest.fixture(scope="module", params=["ba", "directed", "union", "er"])
 def g(request):
+    edges, directed = _variant(request.param, 31)
+    return build_graph(edges, directed=directed, isolated=range(N))
+
+
+@pytest.fixture(scope="module",
+                params=["ba", "directed", "union", "er", "weighted"])
+def dd_graph(request):
     edges, directed = _variant(request.param, 31)
     return build_graph(edges, directed=directed, isolated=range(N))
 
@@ -134,3 +147,25 @@ def test_collective_influence_lambda(g, ell):
         removed = rng.sample(range(N), k)
         assert collective_influence_lambda(g, removed, ell) == \
             oracles.collective_influence_lambda(g, removed, ell)
+
+
+@pytest.mark.parametrize("variant", ["plain", "fidd", "sidd"])
+@pytest.mark.parametrize("t_td", [2, 3, 4])
+def test_degree_distance(dd_graph, variant, t_td):
+    params = GroupSelectParams(budget=BUDGET, t_td=t_td, theta=8.0,
+                               beta_inf=0.1, p=0.1)
+    got = degree_distance(dd_graph, params, variant)
+    assert (got.seeds, [(s.chosen, s.score, s.excluded)
+                        for s in got.per_step], got.stop_reason) == \
+        oracles.degree_distance(dd_graph, params, variant)
+
+
+def test_degree_distance_stops_infeasible():
+    edges, _ = _variant("ba", 31)
+    h = build_graph(edges, isolated=range(N))
+    params = GroupSelectParams(budget=BUDGET, t_td=4)
+    want = oracles.degree_distance(h, params)
+    assert want[2] == "infeasible" and len(want[0]) < BUDGET
+    got = degree_distance(h, params)
+    assert (got.seeds, [(s.chosen, s.score, s.excluded)
+                        for s in got.per_step], got.stop_reason) == want
