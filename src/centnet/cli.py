@@ -12,7 +12,7 @@ import time
 from . import io as cio
 from . import registry
 from .errors import CentnetError, GraphInputError
-from .resilience import run_experiment
+from .resilience import rank_targets, run_experiment
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -69,7 +69,7 @@ def _cmd_centrality(args) -> int:
     g = _load(args)
     scores = registry.compute_point_metric(
         g, args.metric, _collect_params(args.param, args.seed))
-    order = sorted(range(g.n), key=lambda v: (-scores[v], v))
+    order = rank_targets(scores)
     top = order if args.top is None else order[:args.top]
     for v in top:
         print(f"{g.label_of(v)}\t{scores[v]:.6g}")

@@ -8,6 +8,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GraphInputError
 from .graph import Graph, components
 from .params import ScoreVector
@@ -78,8 +80,22 @@ class ExperimentResult:
 
 def rank_targets(scores: ScoreVector) -> list[int]:
     """Descending score, ascending node id on ties."""
-    vals = scores.values
-    return sorted(range(len(vals)), key=lambda v: (-vals[v], v))
+    vals = np.asarray(scores.values, dtype=float)
+    return np.lexsort((np.arange(len(vals)), -vals)).tolist()
+
+
+def _node_ids(g: Graph, ids, what: str, distinct: bool = True) -> list:
+    """`ids` as a list, after checking that each is a node id of g and,
+    if `distinct`, that none repeats."""
+    ids = list(ids)
+    arr = np.asarray(ids)
+    if ids and not (arr.dtype.kind in "iu" and arr.min() >= 0
+                    and arr.max() < g.n):
+        raise GraphInputError(f"{what} must be node ids in [0, {g.n})")
+    if distinct and np.bincount(arr.astype(np.int64),
+                                minlength=g.n).max(initial=0) > 1:
+        raise GraphInputError(f"{what} repeats a node")
+    return ids
 
 
 def removal_count(phi: float, n: int) -> int:
@@ -96,21 +112,23 @@ def non_infectious_attack(g: Graph, ordering=None, seed_set=None,
     """
     n = g.n
     if seed_set is not None:
-        phis = sorted({0.0, len(seed_set) / n if n else 0.0})
-        prefix = list(seed_set)
+        prefix = _node_ids(g, seed_set, "seed_set")
+        phis = sorted({0.0, len(prefix) / n if n else 0.0})
     else:
         if ordering is None or len(ordering) != n:
             raise GraphInputError("ordering must cover every node")
+        prefix = _node_ids(g, ordering, "ordering")
         phis = sorted(set(phi_grid) | {0.0})
-        prefix = list(ordering)
     rows = []
+    mask = [True] * n           # a list: the prefix grows with phi
+    removed = 0
     for phi in phis:
         start = time.perf_counter()
         k = len(prefix) if seed_set is not None and phi > 0 \
             else removal_count(phi, n)
-        mask = [True] * n
-        for v in prefix[:k]:
+        for v in prefix[removed:k]:
             mask[v] = False
+        removed = k
         giant = components(g, mask=mask).giant_size / n if n else 0.0
         elapsed = (time.perf_counter() - start) * 1000.0
         rows.append(AttackOutcome(metric, phi, 0, giant, seeds=k,
@@ -132,7 +150,7 @@ def infectious_attack(g: Graph, seeds, beta: float,
     """
     if not 0.0 <= beta <= 1.0:
         raise GraphInputError("beta must lie in [0,1]")
-    seeds = sorted(set(seeds))
+    seeds = sorted(set(_node_ids(g, seeds, "seeds", distinct=False)))
     if not seeds:
         raise GraphInputError("infectious attack needs at least one seed")
     n = g.n

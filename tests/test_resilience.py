@@ -66,6 +66,21 @@ class TestNonInfectious:
         with pytest.raises(GraphInputError):
             non_infectious_attack(p3, ordering=[0, 1], phi_grid=[0.5])
 
+    @pytest.mark.parametrize("ordering", [
+        [0, 0, 0, 0, 0], [1, 0, 2, 3, 3], [-1, 0, 1, 2, 3], [5, 0, 1, 2, 3],
+        [0.0, 1, 2, 3, 4]])
+    def test_ordering_must_be_a_permutation(self, p5, ordering):
+        # [0, 0, 0, 0, 0] at phi 0.6 used to report seeds=3 with only
+        # node 0 removed
+        with pytest.raises(GraphInputError):
+            non_infectious_attack(p5, ordering=ordering, phi_grid=[0.6])
+
+    @pytest.mark.parametrize("seed_set", [{-1}, [5], [0, 0]])
+    def test_seed_set_ids_are_checked(self, p5, seed_set):
+        # {-1} used to remove node 4 and [5] raised a bare IndexError
+        with pytest.raises(GraphInputError):
+            non_infectious_attack(p5, seed_set=seed_set)
+
 
 class TestInfectious:
     def test_k3_beta1(self, k3):
@@ -112,6 +127,12 @@ class TestInfectious:
     def test_needs_seeds(self, k3):
         with pytest.raises(GraphInputError):
             infectious_attack(k3, [], 0.5)
+
+    @pytest.mark.parametrize("seeds", [[-1], [0, 5], [2.5]])
+    def test_seed_ids_are_checked(self, p5, seeds):
+        # [-1] used to seed node 4 and [0, 5] raised a bare IndexError
+        with pytest.raises(GraphInputError):
+            infectious_attack(p5, seeds, 1.0)
 
 
 class TestInfectedPerAttacker:
