@@ -526,12 +526,17 @@ def all_distances(g: Graph, cap: float | None = None) -> list[list[float]]:
 
 @dataclass
 class ComponentLabeling:
-    component_id: list[int]
+    labels: np.ndarray        # component id per node, -1 if excluded
     sizes: list[int]
     giant_size: int
 
+    @cached_property
+    def component_id(self) -> list[int]:
+        """`labels` as a list, built on first use."""
+        return self.labels.tolist()
+
     def members(self, cid: int) -> list[int]:
-        return [v for v, c in enumerate(self.component_id) if c == cid]
+        return np.flatnonzero(self.labels == cid).tolist()
 
 
 def components(g: Graph, mode: str = "weak",
@@ -557,7 +562,7 @@ def components(g: Graph, mode: str = "weak",
         connection="strong" if mode == "strong" else "weak")
     comp[alive] = labels
     sizes = np.bincount(labels, minlength=count).tolist()
-    return ComponentLabeling(comp.tolist(), sizes, max(sizes, default=0))
+    return ComponentLabeling(comp, sizes, max(sizes, default=0))
 
 
 def giant_fraction(g: Graph, mask=None, mode: str = "weak") -> float:

@@ -114,23 +114,10 @@ def reciprocity(g: Graph) -> GraphMetricValue:
 
 
 def k_core_set(g: Graph, k: int) -> tuple:
-    """Maximal vertex set whose induced subgraph has min degree >= k."""
-    from .iterative import _mutual_adjacency
-    deg = g.degrees()
-    nbrs = _mutual_adjacency(g)
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] < k)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for u, c in nbrs[v]:
-            if alive[u]:
-                deg[u] -= c
-                if deg[u] < k:
-                    queue.append(u)
-    return tuple(v for v in range(g.n) if alive[v])
+    """Maximal vertex set whose induced subgraph has min degree >= k:
+    the nodes whose k-shell index is at least k."""
+    from .iterative import k_shell
+    return tuple(v for v, s in enumerate(k_shell(g).shell_index) if s >= k)
 
 
 def _max_clique(g: Graph) -> tuple:

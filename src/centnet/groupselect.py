@@ -61,23 +61,24 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
     if params.budget > g.n:
         raise GraphInputError("budget exceeds node count")
     deg = np.array(g.degrees(), dtype=float)
-    nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+    nearest = np.full(g.n, INF)         # distance from the nearest seed
+    is_seed = np.zeros(g.n, dtype=bool)
     seeds: list[int] = []
     steps: list[SelectionStep] = []
-    seed_dist: dict[int, list[float]] = {}
+    if variant != "plain":
+        nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+        seed_dist: dict[int, list[float]] = {}
 
     def admissible(u: int, seed_nbrs: set, seed_nbrs2: set) -> bool:
-        near = [s for s in seeds if seed_dist[s][u] < params.t_td]
-        if not near:
-            return True
-        if variant == "plain":
-            return False
+        """fidd/sidd, for a non-seed u within t_td of some seed."""
         pooled = len(nbr[u] & seed_nbrs) + len(nbr[u] & seed_nbrs2)
         if pooled >= params.theta:
             return False
         if variant == "sidd":
             p = params.p
-            for s in near:
+            for s in seeds:
+                if seed_dist[s][u] >= params.t_td:
+                    continue
                 direct = p if u in nbr[s] else 0.0
                 influence = direct + sum(
                     p * p for w in nbr[u] & nbr[s])
@@ -86,23 +87,29 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
         return True
 
     while len(seeds) < params.budget:
-        # pooled common-neighbor sets of the current seed set
-        seed_nbrs: set = set()
-        seed_nbrs2: set = set()
-        for s in seeds:
-            seed_nbrs |= nbr[s]
-            for w in nbr[s]:
-                seed_nbrs2 |= nbr[w]
-        seed_nbrs -= set(seeds)
-        seed_nbrs2 -= set(seeds)
-        ok = np.array([u not in seeds and admissible(u, seed_nbrs, seed_nbrs2)
-                       for u in range(g.n)], dtype=bool)
+        ok = ~is_seed & (nearest >= params.t_td)
+        if variant != "plain":
+            # pooled common-neighbor sets of the current seed set
+            seed_nbrs: set = set()
+            seed_nbrs2: set = set()
+            for s in seeds:
+                seed_nbrs |= nbr[s]
+                for w in nbr[s]:
+                    seed_nbrs2 |= nbr[w]
+            seed_nbrs -= set(seeds)
+            seed_nbrs2 -= set(seeds)
+            for u in np.flatnonzero(~is_seed & ~ok).tolist():
+                ok[u] = admissible(u, seed_nbrs, seed_nbrs2)
         if not ok.any():
             return SelectionResult(seeds, steps, "infeasible")
         v, s = _argmax(deg, ok)
         steps.append(SelectionStep(v, s, g.n - len(seeds) - int(ok.sum())))
         seeds.append(v)
-        seed_dist[v] = shortest_paths(g, v).dist
+        is_seed[v] = True
+        dist = shortest_paths(g, v).dist
+        nearest = np.minimum(nearest, dist)
+        if variant != "plain":
+            seed_dist[v] = dist
     return SelectionResult(seeds, steps, "budget")
 
 

@@ -40,47 +40,52 @@ class DecompositionResult:
         return score_vector("k-shell", [float(s) for s in self.shell_index])
 
 
-def _mutual_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    """Per node: (neighbor, #arcs between them in either direction)."""
-    if not g.directed:
-        return [[(u, 1) for u, _ in g.adj[v]] for v in range(g.n)]
-    out = []
-    for v in range(g.n):
-        cnt: dict[int, int] = {}
-        for u, _ in g.adj[v]:
-            cnt[u] = cnt.get(u, 0) + 1
-        for u, _ in g.in_adj[v]:
-            cnt[u] = cnt.get(u, 0) + 1
-        out.append(sorted(cnt.items()))
-    return out
+def _total_degree_operator(g: Graph) -> scipy.sparse.csr_matrix:
+    """int64 CSR: row v holds v's neighbours, direction ignored, each with
+    its number of arcs to or from v, so a reciprocal pair counts twice
+    and a row sums to the total degree."""
+    a = g.adjacency(weighted=False)
+    return ((a + a.T).tocsr() if g.directed else a).astype(np.int64)
 
 
 def k_shell(g: Graph) -> DecompositionResult:
-    """Iterative minimum-degree pruning; directed graphs use total degree."""
-    n = g.n
-    deg = g.degrees()
-    nbrs = _mutual_adjacency(g)
-    alive = [True] * n
-    shell = [0] * n
-    order: list[tuple[int, int]] = []
-    remaining = n
-    while remaining:
-        k = min(deg[v] for v in range(n) if alive[v])
-        queue = deque(v for v in range(n) if alive[v] and deg[v] <= k)
-        while queue:
-            v = queue.popleft()
-            if not alive[v]:
-                continue
-            alive[v] = False
-            remaining -= 1
-            shell[v] = k
-            order.append((v, k))
-            for u, c in nbrs[v]:
-                if alive[u]:
-                    deg[u] -= c
-                    if deg[u] <= k:
-                        queue.append(u)
-    return DecompositionResult(shell, order)
+    """Iterative minimum-degree pruning (Batagelj & Zaversnik); directed
+    graphs use total degree.
+
+    Each round removes every live node whose residual degree is at most
+    the stage k and takes the removed arcs off their live neighbours;
+    only those neighbours are examined for the next round. When a round
+    finds nobody, k rises to the least live degree. The rounds number
+    the peel depth plus the stages, so a path of n nodes takes n/2
+    rounds; the removal order lists each round in id order.
+    """
+    op = _total_degree_operator(g)
+    ptr, nbrs, arcs = op.indptr, op.indices, op.data
+    deg = np.asarray(op.sum(axis=1)).ravel()
+    alive = np.ones(g.n, dtype=bool)
+    shell = np.zeros(g.n, dtype=np.int64)
+    order = np.empty(g.n, dtype=np.int64)
+    done, k = 0, 0
+    frontier = order[:0]
+    while done < g.n:
+        if not frontier.size:
+            k = int(deg[alive].min())
+            frontier = np.flatnonzero(alive & (deg <= k))
+        alive[frontier] = False
+        shell[frontier] = k
+        order[done:done + frontier.size] = frontier
+        done += frontier.size
+        # the removed rows' entries, gathered in one index array
+        lens = ptr[frontier + 1] - ptr[frontier]
+        at = np.repeat(ptr[frontier] - np.cumsum(lens) + lens, lens) + \
+            np.arange(lens.sum())
+        live = alive[nbrs[at]]
+        touched, which = np.unique(nbrs[at][live], return_inverse=True)
+        deg[touched] -= np.bincount(which, weights=arcs[at][live]).astype(
+            np.int64)
+        frontier = touched[deg[touched] <= k]
+    return DecompositionResult(shell.tolist(),
+                               list(zip(order.tolist(), shell[order].tolist())))
 
 
 def mixed_degree_decomposition(g: Graph,
@@ -94,7 +99,8 @@ def mixed_degree_decomposition(g: Graph,
     n = g.n
     k_r = g.degrees()
     k_e = [0] * n
-    nbrs = _mutual_adjacency(g)
+    op = _total_degree_operator(g)
+    ptr, nbrs, arcs = (x.tolist() for x in (op.indptr, op.indices, op.data))
     alive = [True] * n
     score = [0.0] * n
     remaining = n
@@ -110,7 +116,7 @@ def mixed_degree_decomposition(g: Graph,
             alive[v] = False
             remaining -= 1
             score[v] = m_stage
-            for u, c in nbrs[v]:
+            for u, c in zip(nbrs[ptr[v]:ptr[v + 1]], arcs[ptr[v]:ptr[v + 1]]):
                 if alive[u]:
                     k_r[u] -= c
                     k_e[u] += c
