@@ -3,10 +3,19 @@
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from centnet import build_graph, components
+from centnet import (
+    build_graph,
+    components,
+    non_infectious_attack,
+    rank_targets,
+)
 from centnet.globalmetrics import betweenness_family, closeness_family
+from centnet.params import score_vector
+from centnet.resilience import removal_count
 
 MAX_N = 60
 
@@ -107,3 +116,44 @@ def test_path_scores_permute_with_the_nodes(directed, weighted, n, data):
         got, moved = score(g).values, score(h).values
         assert [moved[h.id_of(perm[g.label_of(v)])] for v in range(n)] == \
             pytest.approx(list(got), rel=1e-9, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs(), st.lists(st.floats(0.0, 1.0), max_size=6), st.data())
+def test_non_infectious_rows_match_csgraph(case, grid, data):
+    """Each row's giant is the largest weak component of the subgraph
+    the ordering's prefix leaves, from csgraph on the raw edges; the
+    rows never grow with phi and never exceed 1 - phi."""
+    directed, n, edges, _ = case
+    g = build_graph(edges, directed=directed, isolated=range(n))
+    order = data.draw(st.permutations(range(n)))
+    rows = non_infectious_attack(g, ordering=order, phi_grid=grid)
+    assert [r.phi for r in rows] == sorted(set(grid) | {0.0})
+    arcs = np.array([(g.id_of(u), g.id_of(v)) for u, v in edges if u != v],
+                    dtype=int).reshape(-1, 2)
+    adj = sp.csr_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])),
+                        shape=(n, n))
+    for r in rows:
+        assert r.seeds == removal_count(r.phi, n)
+        keep = np.setdiff1d(np.arange(n), order[:r.seeds])
+        giant = 0
+        if keep.size:
+            _, labels = connected_components(adj[keep][:, keep],
+                                             directed=directed,
+                                             connection="weak")
+            giant = int(np.bincount(labels).max())
+        assert r.giant_fraction == (giant / n if n else 0.0)
+        assert giant <= n - r.seeds
+        assert r.giant_fraction <= 1.0 - r.phi + 1e-12
+    fracs = [r.giant_fraction for r in rows]
+    assert fracs == sorted(fracs, reverse=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324,
+                                 -5e-324, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False), max_size=40))
+def test_rank_targets_is_score_then_id(scores):
+    """Descending score, ascending id on ties; -0.0 ties with 0.0."""
+    want = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
+    assert rank_targets(score_vector("x", scores)) == want
