@@ -65,9 +65,9 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
     is_seed = np.zeros(g.n, dtype=bool)
     seeds: list[int] = []
     steps: list[SelectionStep] = []
+    seed_dist: dict[int, list[float]] = {}
     if variant != "plain":
         nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
-        seed_dist: dict[int, list[float]] = {}
 
     def admissible(u: int, seed_nbrs: set, seed_nbrs2: set) -> bool:
         """fidd/sidd, for a non-seed u within t_td of some seed."""
@@ -106,10 +106,8 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
         steps.append(SelectionStep(v, s, g.n - len(seeds) - int(ok.sum())))
         seeds.append(v)
         is_seed[v] = True
-        dist = shortest_paths(g, v).dist
-        nearest = np.minimum(nearest, dist)
-        if variant != "plain":
-            seed_dist[v] = dist
+        seed_dist[v] = shortest_paths(g, v).dist
+        nearest = np.minimum(nearest, seed_dist[v])
     return SelectionResult(seeds, steps, "budget")
 
 

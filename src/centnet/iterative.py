@@ -79,10 +79,10 @@ def k_shell(g: Graph) -> DecompositionResult:
         lens = ptr[frontier + 1] - ptr[frontier]
         at = np.repeat(ptr[frontier] - np.cumsum(lens) + lens, lens) + \
             np.arange(lens.sum())
-        live = alive[nbrs[at]]
-        touched, which = np.unique(nbrs[at][live], return_inverse=True)
-        deg[touched] -= np.bincount(which, weights=arcs[at][live]).astype(
-            np.int64)
+        heads, counts = nbrs[at], arcs[at]
+        live = alive[heads]
+        touched, which = np.unique(heads[live], return_inverse=True)
+        deg[touched] -= np.bincount(which, counts[live]).astype(np.int64)
         frontier = touched[deg[touched] <= k]
     return DecompositionResult(shell.tolist(),
                                list(zip(order.tolist(), shell[order].tolist())))

@@ -85,15 +85,13 @@ def rank_targets(scores: ScoreVector) -> list[int]:
 
 
 def _node_ids(g: Graph, ids, what: str, distinct: bool = True) -> list:
-    """`ids` as a list, after checking that each is a node id of g and,
-    if `distinct`, that none repeats."""
+    """`ids` as a list of node ids of g, none repeated if `distinct`."""
     ids = list(ids)
     arr = np.asarray(ids)
-    if ids and not (arr.dtype.kind in "iu" and arr.min() >= 0
-                    and arr.max() < g.n):
+    if ids and (arr.dtype.kind not in "iu" or arr.min() < 0
+                or arr.max() >= g.n):
         raise GraphInputError(f"{what} must be node ids in [0, {g.n})")
-    if distinct and np.bincount(arr.astype(np.int64),
-                                minlength=g.n).max(initial=0) > 1:
+    if distinct and len(set(ids)) < len(ids):
         raise GraphInputError(f"{what} repeats a node")
     return ids
 
@@ -120,7 +118,7 @@ def non_infectious_attack(g: Graph, ordering=None, seed_set=None,
         prefix = _node_ids(g, ordering, "ordering")
         phis = sorted(set(phi_grid) | {0.0})
     rows = []
-    mask = [True] * n           # a list: the prefix grows with phi
+    mask = [True] * n           # the removed prefix grows with phi
     removed = 0
     for phi in phis:
         start = time.perf_counter()
