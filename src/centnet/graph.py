@@ -5,22 +5,29 @@ simulation) builds on the primitives here: the batched shortest-path
 engine, connected components, unit-capacity max flow with a
 deterministic augmenting order, and the linear-algebra layer.
 
-`Graph.adjacency` is the graph as a read-only scipy.sparse CSR operator,
-built once; `m`, `unit_weights` and `components` (through
-scipy.sparse.csgraph) read it. `traverse` runs shortest paths from a
-block of sources at a time. On unit weights, while the search stays
-shallow, it is a level-synchronous BFS of sparse x dense-block
-products. Otherwise scipy's Dijkstra gives the distances, and the
-shortest-path DAG (arcs whose d(u) + w ties d(v) under `TIE_RTOL`),
-ordered by distance, turns path counts and the backward sweep into
-sparse triangular solves, at a cost that does not grow with the depth.
-Both give distances and float64 path counts (sigma) as (n, b) arrays,
-and one backward sweep over the DAG that Brandes dependencies and
-Goh's load reduce over; `shortest_paths` and `all_distances` are calls
-of it. `fixed_point` is the one loop that
-iterates a step map until successive iterates agree in the sup norm;
-`power_iteration` runs it with an L2-normalising step. Dense solves and
-eigendecompositions pass `require_dense` before they allocate.
+A `Graph` is read-only compressed rows (CSR arrays) of out- and
+in-neighbours. `build_graph` interns the labels in one dict pass and
+builds the rows with numpy: self-loops dropped, duplicates collapsed to
+their first occurrence, each row sorted by neighbour id.
+`Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
+operator, which `components` (through scipy.sparse.csgraph) reads. The
+tuple rows `Graph.adj` and `Graph.in_adj` are derived only when read,
+for the readers not yet ported to the arrays.
+
+`traverse` runs shortest paths from a block of sources at a time. On
+unit weights, while the search stays shallow, it is a
+level-synchronous BFS of sparse x dense-block products. Otherwise
+scipy's Dijkstra gives the distances, and the shortest-path DAG (arcs
+whose d(u) + w ties d(v) under `TIE_RTOL`), ordered by distance, turns
+path counts and the backward sweep into sparse triangular solves, at a
+cost that does not grow with the depth. Both give distances and float64
+path counts (sigma) as (n, b) arrays, and one backward sweep over the
+DAG that Brandes dependencies and Goh's load reduce over;
+`shortest_paths` and `all_distances` are calls of it. `fixed_point` is
+the one loop that iterates a step map until successive iterates agree
+in the sup norm; `power_iteration` runs it with an L2-normalising step.
+Dense solves and eigendecompositions pass `require_dense` before they
+allocate.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -51,19 +58,77 @@ INF = math.inf
 DENSE_CAP = 5000
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable adjacency structure with dense integer node ids.
+class CSR(NamedTuple):
+    """Read-only compressed rows: row v lists v's neighbours,
+    indices[indptr[v]:indptr[v + 1]], in ascending order, with their
+    weights at the same positions; degrees[v] is the row's length."""
 
-    Node ids are 0..n-1 assigned in first-appearance order of the input
-    edge list. Undirected adjacency is symmetric; weights are strictly
-    positive; self-loops were dropped at build time.
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    degrees: np.ndarray
+
+    def row(self, v: int) -> list[int]:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
+
+
+def _csr(n: int, tails, heads, weights) -> CSR:
+    """The rows of the distinct arcs tails -> heads, each sorted by head:
+    one argsort of the key tail * n + head (a lexsort of the two arrays
+    takes several times longer). Index arrays are int32 when they fit,
+    the type scipy.sparse would give them, so that `Graph.adjacency`
+    wraps them as they are."""
+    order = np.argsort(tails * n + heads)
+    itype = np.int32 if max(n, tails.size) < 2**31 else np.int64
+    degrees = np.bincount(tails, minlength=n)
+    indptr = np.zeros(n + 1, dtype=itype)
+    indptr[1:] = np.cumsum(degrees)
+    rows = CSR(indptr, heads[order].astype(itype), weights[order], degrees)
+    for arr in rows:
+        arr.flags.writeable = False
+    return rows
+
+
+def row_positions(indptr, rows) -> np.ndarray:
+    """Positions of the entries of `rows` in a CSR index array, row
+    after row in the order given."""
+    lens = indptr[rows + 1] - indptr[rows]
+    return np.repeat(indptr[rows] - np.cumsum(lens) + lens, lens) + \
+        np.arange(lens.sum())
+
+
+def _tuple_rows(rows: CSR) -> tuple:
+    """Each row as a tuple of (neighbour, weight) pairs."""
+    pairs = list(zip(rows.indices.tolist(), rows.weights.tolist()))
+    ends = rows.indptr.tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Immutable graph with dense integer node ids, held as read-only
+    compressed rows.
+
+    Node ids are 0..n-1, assigned in first-appearance order of the input
+    edge list. `out_csr` holds each node's out-neighbours and `in_csr`
+    its in-neighbours; when undirected they are one object, which stores
+    every edge both ways. Rows are sorted by neighbour id, so a sum over
+    a row always runs in one order. Weights are strictly positive;
+    self-loops and duplicate edges were dropped at build time (counted).
+    The accessors, `adjacency()` and `undirected_adjacency` read the
+    rows.
+
+    `adj` and `in_adj` give the rows as tuples of (neighbour, weight)
+    pairs, derived on first read. The tests and their oracles, the
+    benchmark harness's arc count and the metrics not yet ported to the
+    arrays (in `local`, `globalmetrics` and `graphmetrics`) read them;
+    no benchmark path does.
     """
 
     n: int
     directed: bool
-    adj: tuple            # adj[v] = tuple of (neighbor, weight), sorted by neighbor
-    in_adj: tuple         # in-neighbors; same object as adj when undirected
+    out_csr: CSR
+    in_csr: CSR           # the same object as out_csr when undirected
     labels: tuple | None = None
     coords: tuple | None = None
     self_loops_dropped: int = 0
@@ -75,36 +140,54 @@ class Graph:
     @property
     def m(self) -> int:
         """Edge count: undirected edges, or arcs when directed."""
-        nnz = self.adjacency().nnz
-        return nnz if self.directed else nnz // 2
+        arcs = self.out_csr.indices.size
+        return arcs if self.directed else arcs // 2
 
     def neighbors(self, v: int) -> list[int]:
-        return [u for u, _ in self.adj[v]]
+        return self.out_csr.row(v)
 
     def in_neighbors(self, v: int) -> list[int]:
-        return [u for u, _ in self.in_adj[v]]
+        return self.in_csr.row(v)
 
     def out_degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.out_csr.degrees[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
+        return int(self.in_csr.degrees[v])
 
     def degree(self, v: int) -> int:
         """Total degree: in+out for directed graphs."""
-        if self.directed:
-            return len(self.adj[v]) + len(self.in_adj[v])
-        return len(self.adj[v])
+        return int(self.degree_array[v])
 
     def all_neighbors(self, v: int) -> list[int]:
         """Neighbors ignoring direction (sorted, deduplicated)."""
         if not self.directed:
             return self.neighbors(v)
-        return sorted({u for u, _ in self.adj[v]} |
-                      {u for u, _ in self.in_adj[v]})
+        sym = self.undirected_adjacency
+        return sym.indices[sym.indptr[v]:sym.indptr[v + 1]].tolist()
 
     def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
+        return self.degree_array.tolist()
+
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        """Read-only total degree of every node: in+out when directed."""
+        if not self.directed:
+            return self.out_csr.degrees
+        total = self.out_csr.degrees + self.in_csr.degrees
+        total.flags.writeable = False
+        return total
+
+    @cached_property
+    def adj(self) -> tuple:
+        """adj[v]: v's out-neighbours as (neighbour, weight) pairs,
+        sorted by neighbour; derived from `out_csr` on first read."""
+        return _tuple_rows(self.out_csr)
+
+    @cached_property
+    def in_adj(self) -> tuple:
+        """In-neighbours, as `adj`; the same object when undirected."""
+        return _tuple_rows(self.in_csr) if self.directed else self.adj
 
     @property
     def unit_weights(self) -> bool:
@@ -127,20 +210,18 @@ class Graph:
 
     @cached_property
     def _operators(self) -> tuple:
-        """(weighted, unit-weight) CSR adjacency. The second shares the
-        first's index arrays, and is the first when all weights are 1."""
-        indptr = np.cumsum([0] + [len(a) for a in self.adj])
-        arcs = np.fromiter(chain.from_iterable(chain.from_iterable(self.adj)),
-                           float).reshape(-1, 2)
+        """(weighted, unit-weight) CSR operators on `out_csr`'s arrays.
+        The second shares the first's index arrays, and is the first
+        when all weights are 1."""
+        rows, shape = self.out_csr, (self.n, self.n)
         a = scipy.sparse.csr_matrix(
-            (arcs[:, 1], arcs[:, 0].astype(np.int64), indptr),
-            shape=(self.n, self.n))
-        unit = a if np.all(a.data == 1.0) else scipy.sparse.csr_matrix(
-            (np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-        for op in (a, unit):
-            for arr in (op.data, op.indices, op.indptr):
-                arr.flags.writeable = False
-        return a, unit
+            (rows.weights, rows.indices, rows.indptr), shape=shape)
+        if np.all(rows.weights == 1.0):
+            return a, a
+        ones = np.ones(rows.weights.size)
+        ones.flags.writeable = False
+        return a, scipy.sparse.csr_matrix((ones, rows.indices, rows.indptr),
+                                          shape=shape)
 
     @cached_property
     def undirected_adjacency(self) -> scipy.sparse.csr_matrix:
@@ -160,8 +241,7 @@ class Graph:
     @cached_property
     def arc_tails(self) -> np.ndarray:
         """Tail node of every arc of `adjacency()`, in storage order."""
-        indptr = self.adjacency().indptr
-        return np.repeat(np.arange(self.n), np.diff(indptr))
+        return np.repeat(np.arange(self.n), self.out_csr.degrees)
 
     @cached_property
     def reversed(self) -> Graph:
@@ -169,7 +249,7 @@ class Graph:
         undirected)."""
         if not self.directed:
             return self
-        return replace(self, adj=self.in_adj, in_adj=self.adj)
+        return replace(self, out_csr=self.in_csr, in_csr=self.out_csr)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense weighted adjacency; A[u][v] = w for an arc u->v."""
@@ -186,61 +266,64 @@ def require_dense(n: int, what: str):
 
 def build_graph(edges, directed: bool = False, isolated=(),
                 coordinates=None) -> Graph:
-    """Construct a Graph from (u, v) or (u, v, weight) tuples.
+    """Construct a Graph from (u, v) or (u, v, weight) edges.
 
     Endpoint labels may be any hashable token; dense ids are assigned in
     first-appearance order. Self-loops are dropped (counted), duplicate
     edges collapse to the first occurrence (counted). `isolated` declares
-    extra nodes with no edges. `coordinates` maps label -> (x, y).
+    extra nodes with no edges. `coordinates` maps label -> (x, y). A
+    malformed edge raises GraphInputError naming its index.
     """
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
     label_to_id: dict = {}
-    labels: list = []
-
-    def intern(lbl):
-        i = label_to_id.get(lbl)
-        if i is None:
-            i = len(labels)
-            label_to_id[lbl] = i
-            labels.append(lbl)
-        return i
-
-    seen: set = set()
-    arcs: list[tuple[int, int, float]] = []
-    loops = 0
-    dups = 0
-    for idx, e in enumerate(edges):
-        if len(e) == 3:
-            u, v, w = e
-            w = float(w)
-        else:
-            u, v = e
-            w = 1.0
-        if not (w > 0.0) or not math.isfinite(w):
-            raise GraphInputError(
-                f"edge {idx} ({u!r}, {v!r}): weight must be positive, got {w}")
-        ui, vi = intern(u), intern(v)
-        if ui == vi:
-            loops += 1
-            continue
-        key = (ui, vi) if directed or ui < vi else (vi, ui)
-        if key in seen:
-            dups += 1
-            continue
-        seen.add(key)
-        arcs.append((ui, vi, w))
+    intern = label_to_id.setdefault
+    try:
+        ends = np.array([intern(x, len(label_to_id))
+                         for e in edges for x in (e[0], e[1])],
+                        dtype=np.int64)
+        widths = np.fromiter(map(len, edges), np.int64, len(edges))
+        weights = np.ones(len(edges))
+        weighted = np.flatnonzero(widths == 3)
+        weights[weighted] = [float(edges[i][2]) for i in weighted.tolist()]
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise _malformed(edges) from exc
+    if np.any((widths < 2) | (widths > 3)) or \
+            not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise _malformed(edges)
     for lbl in isolated:
-        intern(lbl)
+        try:
+            intern(lbl, len(label_to_id))
+        except TypeError as exc:
+            raise GraphInputError(
+                f"isolated node {lbl!r}: labels must be hashable") from exc
+    labels = list(label_to_id)
 
     coords = None
     if coordinates is not None:
         coords = tuple(tuple(map(float, coordinates[lbl])) for lbl in labels)
 
     plain = all(lbl == i for i, lbl in enumerate(labels))
-    return replace(
-        graph_from_arcs(len(labels), directed, arcs, coords),
-        labels=None if plain else tuple(labels),
-        self_loops_dropped=loops, duplicates_collapsed=dups,
-        _label_to_id=label_to_id if not plain else {})
+    return _from_arcs(len(labels), directed, ends[0::2], ends[1::2], weights,
+                      labels=None if plain else tuple(labels), coords=coords,
+                      _label_to_id=label_to_id if not plain else {})
+
+
+def _malformed(edges) -> GraphInputError:
+    """The error naming the first edge that is not (u, v) or (u, v,
+    weight) with hashable labels and a positive finite weight."""
+    for idx, e in enumerate(edges):
+        try:
+            hash(e[0]), hash(e[1])
+            w = float(e[2]) if len(e) == 3 else 1.0
+            ok = len(e) in (2, 3) and w > 0.0 and math.isfinite(w)
+        except (TypeError, ValueError, IndexError, KeyError):
+            ok = False
+        if not ok:
+            return GraphInputError(
+                f"edge {idx}: expected (u, v) or (u, v, weight) with "
+                f"hashable labels and a positive weight, got {e!r}")
+    return GraphInputError("malformed edge list")
 
 
 def graph_from_arcs(n: int, directed: bool, arcs,
@@ -249,18 +332,34 @@ def graph_from_arcs(n: int, directed: bool, arcs,
 
     `arcs` are (u, v, w) with 0 <= u, v < n already deduplicated.
     """
-    out: list[list] = [[] for _ in range(n)]
-    inn: list[list] = [[] for _ in range(n)]
-    for u, v, w in arcs:
-        out[u].append((v, w))
-        inn[v].append((u, w))
-        if not directed:
-            out[v].append((u, w))
-            inn[u].append((v, w))
-    adj = tuple(tuple(sorted(a)) for a in out)
-    in_adj = adj if not directed else tuple(tuple(sorted(a)) for a in inn)
-    return Graph(n=n, directed=directed, adj=adj, in_adj=in_adj,
-                 coords=coords)
+    arcs = np.array(list(arcs), dtype=float).reshape(-1, 3)
+    ends = arcs[:, :2].astype(np.int64)
+    return _from_arcs(n, directed, ends[:, 0], ends[:, 1], arcs[:, 2],
+                      coords=coords)
+
+
+def _from_arcs(n: int, directed: bool, tails, heads, weights,
+               **fields) -> Graph:
+    """The Graph of the arcs tails -> heads (edges, when undirected),
+    with self-loops dropped and duplicates collapsed to their first
+    occurrence, both counted."""
+    keep = tails != heads
+    tails, heads, weights = tails[keep], heads[keep], weights[keep]
+    lo, hi = (tails, heads) if directed else \
+        (np.minimum(tails, heads), np.maximum(tails, heads))
+    _, first = np.unique(lo * n + hi, return_index=True)
+    loops, dups = keep.size - tails.size, tails.size - first.size
+    tails, heads, weights = tails[first], heads[first], weights[first]
+    if directed:
+        out, inn = _csr(n, tails, heads, weights), \
+            _csr(n, heads, tails, weights)
+    else:
+        out = inn = _csr(n, np.concatenate([tails, heads]),
+                         np.concatenate([heads, tails]),
+                         np.concatenate([weights, weights]))
+    return Graph(n=n, directed=directed, out_csr=out, in_csr=inn,
+                 self_loops_dropped=loops, duplicates_collapsed=dups,
+                 **fields)
 
 
 # -- shortest paths -----------------------------------------------------
@@ -592,14 +691,9 @@ def max_flow(g: Graph, s: int, t: int) -> MaxFlowResult:
     if s == t:
         raise GraphInputError("max_flow requires s != t")
     n = g.n
-    capacity: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v, _ in g.adj[u]:
-            capacity[(u, v)] = 1
-    residual_nbrs = [
-        sorted({u for u, _ in g.adj[v]} | {u for u, _ in g.in_adj[v]})
-        for v in range(n)
-    ]
+    capacity = dict.fromkeys(zip(g.arc_tails.tolist(),
+                                 g.out_csr.indices.tolist()), 1)
+    residual_nbrs = [g.all_neighbors(v) for v in range(n)]
 
     flow: dict[tuple[int, int], int] = {}
     value = 0

@@ -23,6 +23,7 @@ from .graph import (
     fixed_point,
     power_iteration,
     require_dense,
+    row_positions,
     solve_linear,
     spectral_radius,
 )
@@ -76,9 +77,7 @@ def k_shell(g: Graph) -> DecompositionResult:
         order[done:done + frontier.size] = frontier
         done += frontier.size
         # the removed rows' entries, gathered in one index array
-        lens = ptr[frontier + 1] - ptr[frontier]
-        at = np.repeat(ptr[frontier] - np.cumsum(lens) + lens, lens) + \
-            np.arange(lens.sum())
+        at = row_positions(ptr, frontier)
         heads, counts = nbrs[at], arcs[at]
         live = alive[heads]
         touched, which = np.unique(heads[live], return_inverse=True)

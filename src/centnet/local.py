@@ -24,18 +24,15 @@ def degree_family(g: Graph, mode: str = "total",
     """Degree, in-degree, or out-degree; normalized divides by n-1."""
     if mode in ("in", "out") and not g.directed:
         raise UnsupportedGraphError(f"{mode}-degree needs a directed graph")
-    if mode == "total":
-        vals = [float(g.degree(v)) for v in range(g.n)]
-    elif mode == "in":
-        vals = [float(g.in_degree(v)) for v in range(g.n)]
-    elif mode == "out":
-        vals = [float(g.out_degree(v)) for v in range(g.n)]
-    else:
+    counts = {"total": g.degree_array, "in": g.in_csr.degrees,
+              "out": g.out_csr.degrees}.get(mode)
+    if counts is None:
         raise GraphInputError(f"unknown degree mode {mode!r}")
+    vals = counts.astype(float)
     if normalized:
         if g.n < 2:
             raise GraphInputError("normalized degree needs n >= 2")
-        vals = [x / (g.n - 1) for x in vals]
+        vals = vals / (g.n - 1)
     name = "degree" if mode == "total" else f"{mode}-degree"
     return score_vector(name, vals, {"normalized": normalized})
 

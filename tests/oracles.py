@@ -8,6 +8,7 @@ pruning, bipartition search instead of augmenting paths.
 
 import heapq
 import math
+import random
 from collections import deque
 from itertools import combinations
 
@@ -653,3 +654,111 @@ def spearman(xs, ys):
     if vx == 0 or vy == 0:
         return 1.0 if rx == ry else 0.0
     return cov / (vx * vy)
+
+
+# -- graph construction and the SIR cascade, on tuple adjacency ---------------
+
+
+class TupleGraph:
+    """The graph as the tuple-first build made it: adj[v] a tuple of
+    (neighbour, weight) pairs sorted by neighbour; in_adj the same
+    object when undirected."""
+
+    def __init__(self, n, directed, adj, in_adj, labels, loops, dups):
+        self.n, self.directed = n, directed
+        self.adj, self.in_adj = adj, in_adj
+        self.labels = labels
+        self.self_loops_dropped, self.duplicates_collapsed = loops, dups
+
+    def adjacency(self, weighted=True):
+        """CSR re-read of the tuples, as the tuple-first operator was."""
+        import scipy.sparse as sp
+
+        indptr = np.cumsum([0] + [len(a) for a in self.adj])
+        arcs = np.array([pair for row in self.adj for pair in row],
+                        dtype=float).reshape(-1, 2)
+        data = arcs[:, 1] if weighted else np.ones(len(arcs))
+        return sp.csr_matrix((data, arcs[:, 0].astype(np.int64), indptr),
+                             shape=(self.n, self.n))
+
+    def undirected_adjacency(self):
+        a = self.adjacency(False)
+        if not self.directed:
+            return a
+        sym = (a + a.T).tocsr()
+        sym.data[:] = 1.0
+        sym.sort_indices()
+        return sym
+
+
+def tuple_build_graph(edges, directed=False, isolated=()):
+    """Per-edge loop: first-appearance ids, self-loops dropped, the first
+    of duplicate edges kept, each row sorted by neighbour."""
+    label_to_id, labels = {}, []
+
+    def intern(lbl):
+        if lbl not in label_to_id:
+            label_to_id[lbl] = len(labels)
+            labels.append(lbl)
+        return label_to_id[lbl]
+
+    seen, arcs, loops, dups = set(), [], 0, 0
+    for e in edges:
+        u, v, w = (*e, 1.0) if len(e) == 2 else e
+        ui, vi = intern(u), intern(v)
+        if ui == vi:
+            loops += 1
+            continue
+        key = (ui, vi) if directed or ui < vi else (vi, ui)
+        if key in seen:
+            dups += 1
+            continue
+        seen.add(key)
+        arcs.append((ui, vi, float(w)))
+    for lbl in isolated:
+        intern(lbl)
+    n = len(labels)
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    for u, v, w in arcs:
+        out[u].append((v, w))
+        inn[v].append((u, w))
+        if not directed:
+            out[v].append((u, w))
+            inn[u].append((v, w))
+    adj = tuple(tuple(sorted(a)) for a in out)
+    in_adj = adj if not directed else tuple(tuple(sorted(a)) for a in inn)
+    plain = all(lbl == i for i, lbl in enumerate(labels))
+    return TupleGraph(n, directed, adj, in_adj,
+                      None if plain else tuple(labels), loops, dups)
+
+
+def sir_cascade(g, seeds, beta, rng_seed=0):
+    """Single-attempt SIR node by node: (final 'S'/'R' labels, number
+    ever infected). Each round, every infected node in list order
+    attacks each out-neighbour in row order that was never attacked,
+    with one draw per attack."""
+    rng = random.Random(rng_seed)
+    S, I, R = 0, 1, 2
+    state = [S] * g.n
+    attempted = [False] * g.n
+    seeds = sorted(set(seeds))
+    for v in seeds:
+        state[v] = I
+        attempted[v] = True
+    infected = list(seeds)
+    ever = len(seeds)
+    while infected:
+        new = []
+        for v in infected:
+            for u, _ in g.adj[v]:
+                if state[u] == S and not attempted[u]:
+                    attempted[u] = True
+                    if rng.random() < beta:
+                        state[u] = I
+                        new.append(u)
+        for v in infected:
+            state[v] = R
+        ever += len(new)
+        infected = new
+    return ["S" if s == S else "R" for s in state], ever

@@ -51,6 +51,22 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError):
             build_graph([(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("edges, index", [
+        ([(1,)], 0), ([(1, 2, 3, 4)], 0), ([(1, 2, "x")], 0),
+        ([(1, 2, None)], 0), ([([1], 2)], 0), ([(0, 1), 7], 1),
+        ([(0, 1), (1, 2, "x"), (2, 3, -1.0)], 1),
+        ([(0, 1), (1, 2, -1.0), ([2], 3)], 1),
+        ([(0, 1, 2.0), (1, 2), (2, 3), (3, [4])], 3)])
+    def test_malformed_edge_is_named(self, edges, index):
+        # all but the eighth used to raise a bare ValueError or TypeError;
+        # the first bad edge is named, whatever is wrong with it
+        with pytest.raises(GraphInputError, match=f"^edge {index}[ :]"):
+            build_graph(edges)
+
+    def test_unhashable_isolated_label(self):
+        with pytest.raises(GraphInputError):
+            build_graph([(0, 1)], isolated=[[2]])
+
     def test_first_appearance_ids(self):
         g = build_graph([("z", "y"), ("y", "x")])
         assert g.label_of(0) == "z" and g.label_of(2) == "x"

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the graph substrate, checked against networkx."""
+"""Hypothesis properties of the graph substrate, checked against networkx
+and the reference loops in oracles.py."""
 
 import networkx as nx
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import oracles
 from centnet import (
     build_graph,
     components,
@@ -18,6 +20,11 @@ from centnet.params import score_vector
 from centnet.resilience import removal_count
 
 MAX_N = 60
+
+# A small label pool mixing ints and strings, so that self-loops and
+# duplicates are common; weights from a set with exact sums.
+LABELS = st.integers(0, 6) | st.sampled_from(["a", "b", "c", "7"])
+WEIGHTS = st.sampled_from([0.25, 1.0, 1.5, 3.0])
 
 
 @st.composite
@@ -157,3 +164,42 @@ def test_rank_targets_is_score_then_id(scores):
     """Descending score, ascending id on ties; -0.0 ties with 0.0."""
     want = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
     assert rank_targets(score_vector("x", scores)) == want
+
+
+@st.composite
+def raw_edges(draw):
+    """(edges, directed, isolated): (u, v) and (u, v, w) edges, plus
+    reversed copies of some of them with other weights, each placed
+    after its original."""
+    edge = st.tuples(LABELS, LABELS) | st.tuples(LABELS, LABELS, WEIGHTS)
+    edges = draw(st.lists(edge, max_size=40))
+    for _ in range(draw(st.integers(0, 8)) if edges else 0):
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v = edges[i][:2]
+        edges.insert(draw(st.integers(i + 1, len(edges))),
+                     (v, u, draw(WEIGHTS)))
+    return edges, draw(st.booleans()), draw(st.lists(LABELS, max_size=5))
+
+
+def _arrays(a):
+    return a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(raw_edges())
+def test_build_matches_the_tuple_build(case):
+    """The array build equals the per-edge tuple build exactly: ids,
+    counts, the tuple views, and the operators it re-read from them."""
+    edges, directed, isolated = case
+    g = build_graph(edges, directed=directed, isolated=isolated)
+    ref = oracles.tuple_build_graph(edges, directed=directed,
+                                    isolated=isolated)
+    assert (g.labels, g.n) == (ref.labels, ref.n)
+    assert g.self_loops_dropped == ref.self_loops_dropped
+    assert g.duplicates_collapsed == ref.duplicates_collapsed
+    assert g.adj == ref.adj and g.in_adj == ref.in_adj
+    for weighted in (True, False):
+        assert _arrays(g.adjacency(weighted)) == \
+            _arrays(ref.adjacency(weighted))
+    assert _arrays(g.undirected_adjacency) == \
+        _arrays(ref.undirected_adjacency())

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from _synth import er_graph
+import oracles
+from _synth import ba_edges, er_edges, er_graph
 from centnet import (
     AttackOutcome,
     AttackPlan,
     GraphInputError,
     build_graph,
+    components,
     infectious_attack,
     mean_infected_per_attacker,
     non_infectious_attack,
@@ -243,3 +245,40 @@ class TestRunExperiment:
             AttackPlan("infectious", [], [0.1], beta=1.5)
         with pytest.raises(GraphInputError):
             AttackPlan("infectious", [], [2.0])
+
+
+def _sir_graphs():
+    """Seeded graphs the cascade runs on: Barabasi-Albert edges turned at
+    random, a disconnected union of two draws, and a sparse directed
+    Erdos-Renyi draw with isolated nodes."""
+    rng = random.Random(7)
+    turned = [(v, u) if rng.random() < 0.5 else (u, v)
+              for u, v in ba_edges(200, 3, 7)]
+    union = ba_edges(100, 2, 8) + [(u + 100, v + 100)
+                                   for u, v in ba_edges(100, 2, 9)]
+    sparse = [(v, u) if rng.random() < 0.5 else (u, v)
+              for u, v in er_edges(150, 0.02, 10)]
+    return {"directed": build_graph(turned, directed=True),
+            "disconnected": build_graph(union),
+            "sparse": build_graph(sparse, directed=True,
+                                  isolated=range(150))}
+
+
+SIR_GRAPHS = _sir_graphs()
+
+
+@pytest.mark.parametrize("kind", sorted(SIR_GRAPHS))
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
+def test_cascade_matches_the_loop(kind, beta):
+    """The frontier rounds over the CSR arrays give the node-by-node
+    loop's final states, count and giant exactly."""
+    g = SIR_GRAPHS[kind]
+    for run in range(5):
+        seeds = random.Random(run).sample(range(g.n), 1 + 3 * run)
+        out = infectious_attack(g, seeds, beta, rng_seed=run)
+        states, ever = oracles.sir_cascade(g, seeds, beta, rng_seed=run)
+        assert out.node_states == states
+        assert out.infected_total == ever
+        alive = [s == "S" for s in states]
+        assert out.giant_fraction == \
+            components(g, mask=alive).giant_size / g.n
