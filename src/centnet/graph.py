@@ -239,6 +239,13 @@ class Graph:
         return sym
 
     @cached_property
+    def _edges(self) -> tuple:
+        """(row of each entry, operator): the upper triangle of
+        `undirected_adjacency`, which holds each undirected edge once."""
+        upper = scipy.sparse.triu(self.undirected_adjacency, 1, "csr")
+        return np.repeat(np.arange(self.n), np.diff(upper.indptr)), upper
+
+    @cached_property
     def arc_tails(self) -> np.ndarray:
         """Tail node of every arc of `adjacency()`, in storage order."""
         return np.repeat(np.arange(self.n), self.out_csr.degrees)
@@ -643,24 +650,35 @@ def components(g: Graph, mode: str = "weak",
     """Label connected components.
 
     `mode` is "weak" (direction ignored) or "strong" (SCCs; same as weak
-    on undirected graphs). `mask[v] = False` excludes v, as if removed,
-    and labels it -1. Weak ids count components in order of their
-    smallest node; strong ids on directed graphs are arbitrary.
+    on undirected graphs). A `mask` has n entries: a list of bools, a
+    bool array or a bytearray of 0/1. `mask[v]` false excludes v, as if
+    removed, and labels it -1. Weak ids count components in order of
+    their smallest node; strong ids on directed graphs are arbitrary.
+    One csgraph call labels all n nodes on the operator less the entries
+    with an excluded end; the excluded nodes' own ids are squeezed out.
     """
     if mode not in ("weak", "strong"):
         raise GraphInputError(f"unknown component mode {mode!r}")
-    a = g.adjacency(weighted=False)
-    comp = np.full(g.n, -1)
-    if mask is None:
-        alive = slice(None)
-    else:
-        alive = np.flatnonzero(np.asarray(mask, dtype=bool))
-        a = a[alive][:, alive]
-    count, labels = connected_components(
-        a, directed=g.directed,
-        connection="strong" if mode == "strong" else "weak")
-    comp[alive] = labels
-    sizes = np.bincount(labels, minlength=count).tolist()
+    strong = g.directed and mode == "strong"
+    tails, a = (g.arc_tails, g.adjacency(False)) if strong else g._edges
+    alive = np.ones(g.n, dtype=bool)
+    if mask is not None:
+        alive = np.asarray(mask, dtype=bool)
+        if alive.shape != (g.n,):
+            raise GraphInputError(
+                f"components mask has shape {alive.shape}, not ({g.n},)")
+        keep = alive.take(tails) & alive.take(a.indices)
+        ends = np.zeros(keep.size + 1, dtype=a.indptr.dtype)
+        np.cumsum(keep, out=ends[1:])
+        heads = a.indices.compress(keep)
+        # every entry of both operators is 1, so a prefix serves as data
+        a = scipy.sparse.csr_matrix(
+            (a.data[:heads.size], heads, ends.take(a.indptr)), shape=a.shape)
+    count, labels = connected_components(a, directed=strong, connection=mode)
+    sizes = np.bincount(labels.compress(alive), minlength=count)
+    live = sizes > 0
+    comp = np.where(alive, (np.cumsum(live) - 1).take(labels), -1)
+    sizes = sizes[live].tolist()
     return ComponentLabeling(comp, sizes, max(sizes, default=0))
 
 

@@ -188,6 +188,10 @@ def load_config(path) -> ExperimentConfig:
         raise GraphInputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise GraphInputError(f"config {path} must be a JSON object")
+    if not isinstance(data.get("attack", {}), dict):
+        raise GraphInputError(f"config {path}: attack must be an object")
     try:
         attack_raw = dict(data["attack"])
         sources = data.get("metrics", attack_raw.pop("sources", []))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import GraphInputError
 from .graph import params_digest
@@ -18,12 +19,17 @@ class ScoreVector:
     params_digest: str = "{}"
 
     def __post_init__(self):
-        vals = tuple(float(x) for x in self.values)
-        for i, x in enumerate(vals):
-            if not math.isfinite(x):
-                raise GraphInputError(
-                    f"{self.metric_id}: non-finite score {x} at node {i}")
-        object.__setattr__(self, "values", vals)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"{self.metric_id}: {exc}") from exc
+        if arr.ndim != 1:
+            raise GraphInputError(f"{self.metric_id}: not one score per node")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise GraphInputError(f"{self.metric_id}: non-finite score "
+                                  f"{arr[bad[0]]} at node {bad[0]}")
+        object.__setattr__(self, "values", tuple(arr.tolist()))
 
     def __len__(self):
         return len(self.values)

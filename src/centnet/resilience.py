@@ -7,6 +7,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,12 +34,17 @@ class AttackPlan:
     def __post_init__(self):
         if self.kind not in ("non-infectious", "infectious", "random"):
             raise GraphInputError(f"unknown attack kind {self.kind!r}")
-        if not 0.0 <= self.beta <= 1.0:
+        if not (isinstance(self.beta, Real) and 0.0 <= self.beta <= 1.0):
             raise GraphInputError("beta must lie in [0,1]")
-        if self.runs < 1:
-            raise GraphInputError("runs must be >= 1")
-        grid = sorted(float(x) for x in self.phi_grid)
-        if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
+        if not (isinstance(self.runs, Integral) and self.runs >= 1):
+            raise GraphInputError("runs must be an integer >= 1")
+        if not isinstance(self.rng_seed, Integral):
+            raise GraphInputError("rng_seed must be an integer")
+        try:
+            grid = sorted(float(x) for x in self.phi_grid)
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"phi_grid must hold numbers: {exc}") from exc
+        if not all(0.0 <= x <= 1.0 for x in grid):
             raise GraphInputError("phi values must lie in [0,1]")
         if not grid or grid[0] > 0.0:
             grid = [0.0] + grid
@@ -118,14 +124,14 @@ def non_infectious_attack(g: Graph, ordering=None, seed_set=None,
         prefix = _node_ids(g, ordering, "ordering")
         phis = sorted(set(phi_grid) | {0.0})
     rows = []
-    mask = [True] * n           # the removed prefix grows with phi
+    mask = bytearray(b"\x01") * n    # the removed prefix grows with phi
     removed = 0
     for phi in phis:
         start = time.perf_counter()
         k = len(prefix) if seed_set is not None and phi > 0 \
             else removal_count(phi, n)
         for v in prefix[removed:k]:
-            mask[v] = False
+            mask[v] = 0
         removed = k
         giant = components(g, mask=mask).giant_size / n if n else 0.0
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -173,9 +179,9 @@ def infectious_attack(g: Graph, seeds, beta: float,
         draws = np.array([rng.random() for _ in range(exposed.size)])
         infected = exposed[draws < beta]
         ever[infected] = True
-    # components gets a list mask, which perfbench's tracer sums into a
-    # JSON count
-    mask = (~ever).tolist()
+    # a bytearray mask reads into numpy without a per-node loop, and its
+    # sum(), which a tracer may count, is a Python int
+    mask = bytearray((~ever).tobytes())
     giant = components(g, mask=mask).giant_size / n if n else 0.0
     labels = np.where(ever, "R", "S").tolist()
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -656,6 +656,29 @@ def spearman(xs, ys):
     return cov / (vx * vy)
 
 
+# -- connected components by slicing the operator ------------------------------
+
+
+def slice_components(g, mode="weak", mask=None):
+    """(labels, sizes, giant) of csgraph on the subgraph that the mask
+    slices out of the 0/1 adjacency; excluded nodes are labelled -1."""
+    from scipy.sparse.csgraph import connected_components
+
+    a = g.adjacency(weighted=False)
+    comp = np.full(g.n, -1)
+    if mask is None:
+        alive = slice(None)
+    else:
+        alive = np.flatnonzero(np.asarray(mask, dtype=bool))
+        a = a[alive][:, alive]
+    count, labels = connected_components(
+        a, directed=g.directed,
+        connection="strong" if mode == "strong" else "weak")
+    comp[alive] = labels
+    sizes = np.bincount(labels, minlength=count).tolist()
+    return comp, sizes, max(sizes, default=0)
+
+
 # -- graph construction and the SIR cascade, on tuple adjacency ---------------
 
 

@@ -222,6 +222,20 @@ class TestComponents:
         lab = components(s5, mask=[False, True, True, True, True])
         assert lab.giant_size == 1
 
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_mask_of_wrong_length(self, length):
+        g = build_graph([(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(GraphInputError, match="mask"):
+            components(g, mask=[True] * length)
+
+    def test_mask_types_agree(self, s5):
+        want = components(s5, mask=[True, False, True, True, True])
+        for mask in (bytearray([1, 0, 1, 1, 1]),
+                     np.array([1, 0, 1, 1, 1], dtype=bool)):
+            lab = components(s5, mask=mask)
+            assert lab.labels.tolist() == want.labels.tolist()
+            assert lab.sizes == want.sizes == [4]
+
 
 class TestMaxFlow:
     def test_p3(self, p3):

@@ -174,6 +174,20 @@ class TestConfig:
         with pytest.raises(GraphInputError):
             cio.load_config(str(cfg))
 
+    @pytest.mark.parametrize("data, field", [
+        ([1, 2], "object"),
+        ({"input_path": "x", "attack": 5}, "attack"),
+        ({"input_path": "x", "attack": {"phi_grid": ["a"]}}, "phi_grid"),
+        ({"input_path": "x", "attack": {"runs": "3"}}, "runs"),
+        ({"input_path": "x", "attack": {"beta": None}}, "beta"),
+        ({"input_path": "x", "attack": {"rng_seed": "x"}}, "rng_seed"),
+    ])
+    def test_malformed_field(self, tmp_path, data, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(GraphInputError, match=field):
+            cio.load_config(str(cfg))
+
     def test_bad_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")

@@ -69,9 +69,16 @@ def test_components_match_networkx(case):
         "strong": nx.strongly_connected_components(sub) if directed
         else nx.connected_components(sub),
     }
+    # the same mask as a bytearray and as a bool array
+    others = [] if mask is None else [
+        bytearray(mask), np.array(mask, dtype=bool)]
     for mode, comps in expected.items():
         want = sorted(sorted(c) for c in comps)
         lab = components(g, mode, mask=mask)
+        for other in others:
+            same = components(g, mode, mask=other)
+            assert same.labels.tolist() == lab.labels.tolist()
+            assert same.sizes == lab.sizes
         assert _partition(lab.component_id, alive) == want
         assert all(lab.component_id[v] == -1
                    for v in set(range(n)) - set(alive))

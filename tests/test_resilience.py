@@ -33,6 +33,23 @@ class TestRankTargets:
         assert rank_targets(degree_family(s5))[0] == 0
 
 
+class TestScoreVector:
+    def test_values_are_python_floats(self):
+        sv = score_vector("x", [3, 1.5, True])
+        assert sv.values == (3.0, 1.5, 1.0)
+        assert all(type(x) is float for x in sv.values)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_names_the_first_node(self, bad):
+        with pytest.raises(GraphInputError, match="at node 1"):
+            score_vector("x", [0.0, bad, bad])
+
+    @pytest.mark.parametrize("bad", [1j, "x", [1.0, 2.0], None])
+    def test_non_real_raises(self, bad):
+        with pytest.raises(GraphInputError, match="^some-metric: "):
+            score_vector("some-metric", [0.0, bad])
+
+
 class TestNonInfectious:
     def test_phi_zero_always_emitted(self, p5):
         rows = non_infectious_attack(p5, ordering=list(range(5)),
