@@ -785,3 +785,216 @@ def sir_cascade(g, seeds, beta, rng_seed=0):
         ever += len(new)
         infected = new
     return ["S" if s == S else "R" for s in state], ever
+
+
+# -- local and cohesion measures, by node loops over neighbour sets --------
+#
+# The per-node loops that preceded the sparse forms in local,
+# graphmetrics and globalmetrics, as their reference.
+
+
+def local_clustering(g):
+    """Linked pairs among each node's out-neighbours over the pair
+    count: unordered pairs when undirected, ordered ones when directed;
+    fewer than 2 out-neighbours scores 0."""
+    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    vals = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        k = len(nbrs)
+        if k < 2:
+            vals.append(0.0)
+            continue
+        if g.directed:
+            links = sum(1 for r in nbrs for s in nbrs
+                        if r != s and s in nbr_sets[r])
+            vals.append(links / (k * (k - 1)))
+        else:
+            links = sum(1 for r, s in combinations(nbrs, 2)
+                        if s in nbr_sets[r])
+            vals.append(2.0 * links / (k * (k - 1)))
+    return vals
+
+
+def clusterrank(g):
+    cc = local_clustering(g)
+    return [10.0 ** (-cc[v]) * sum(g.out_degree(u) + 1
+                                   for u in g.neighbors(v))
+            for v in range(g.n)]
+
+
+def redundancy(g):
+    """Borgatti's 2e / degree on unit weights; on weighted graphs the
+    ego-network sum of p_vs * m_rs over linked neighbour pairs."""
+    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    if g.unit_weights:
+        vals = []
+        for v in range(g.n):
+            k = g.degree(v)
+            if k == 0:
+                vals.append(0.0)
+                continue
+            nbrs = g.neighbors(v)
+            e = sum(1 for r, s in combinations(nbrs, 2) if s in nbr_sets[r])
+            vals.append(2.0 * e / k)
+        return vals
+    w = {}
+    for u in range(g.n):
+        for v2, wt in g.adj[u]:
+            w[(u, v2)] = wt
+    vals = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        denom_v = sum(w[(v, r)] + w[(r, v)] for r in nbrs)
+        if denom_v == 0:
+            vals.append(0.0)
+            continue
+        total = 0.0
+        for r in nbrs:
+            shared = nbr_sets[r] & nbr_sets[v]
+            if not shared:
+                continue
+            max_rt = max(w.get((r, t), 0.0) + w.get((t, r), 0.0)
+                         for t in shared)
+            for s in shared:
+                p_vs = (w.get((v, s), 0.0) + w.get((s, v), 0.0)) / denom_v
+                m_rs = (w.get((r, s), 0.0) + w.get((s, r), 0.0)) / max_rt
+                total += p_vs * m_rs
+        vals.append(total)
+    return vals
+
+
+def two_ball_sizes(g):
+    """|N_2(w)| for every w: nearest plus next-nearest neighbours."""
+    sizes = []
+    for w in range(g.n):
+        seen = {w}
+        level1 = []
+        for u in g.neighbors(w):
+            if u not in seen:
+                seen.add(u)
+                level1.append(u)
+        count = len(level1)
+        for u in level1:
+            for x in g.neighbors(u):
+                if x not in seen:
+                    seen.add(x)
+                    count += 1
+        sizes.append(count)
+    return sizes
+
+
+def semi_local(g):
+    d2 = two_ball_sizes(g)
+    q = [sum(d2[w] for w in g.neighbors(u)) for u in range(g.n)]
+    return [float(sum(q[u] for u in g.neighbors(v))) for v in range(g.n)]
+
+
+def hybrid_degree(g, alpha=1000.0, beta=0.1, p=0.05):
+    d2 = two_ball_sizes(g)
+    q = [sum(d2[w] for w in g.neighbors(u)) for u in range(g.n)]
+    vals = []
+    for v in range(g.n):
+        semi = sum(q[u] for u in g.neighbors(v))
+        m_local = semi - 2 * sum(g.degree(u) for u in g.neighbors(v))
+        vals.append((beta - p) * alpha * g.degree(v) + p * m_local)
+    return vals
+
+
+def reciprocity(g):
+    """Reciprocated arcs over all arcs (0 without arcs)."""
+    out_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    co = sum(1 for v in range(g.n) for u in out_sets[v] if v in out_sets[u])
+    return co / g.m if g.m else 0.0
+
+
+def endpoint_series(g, mode):
+    """(xs, ys): the excess degrees at the tail and head of every arc,
+    row by row."""
+    indeg = [g.in_degree(v) for v in range(g.n)]
+    outdeg = [g.out_degree(v) for v in range(g.n)]
+    deg = g.degrees()
+    kinds = {"undirected": (deg, deg), "directed-out-in": (outdeg, indeg),
+             "in-in": (indeg, indeg), "out-out": (outdeg, outdeg)}
+    dx, dy = kinds[mode]
+    xs, ys = [], []
+    for u in range(g.n):
+        for v, _ in g.adj[u]:
+            xs.append(dx[u] - 1)
+            ys.append(dy[v] - 1)
+    return xs, ys
+
+
+def local_assortativity(g):
+    xs, _ = endpoint_series(g, "undirected")
+    mu = sum(xs) / len(xs)
+    var = sum((x - mu) ** 2 for x in xs) / len(xs)
+    deg = g.degrees()
+    vals = []
+    for v in range(g.n):
+        j = deg[v] - 1
+        nbrs = g.neighbors(v)
+        kbar = sum(deg[u] - 1 for u in nbrs) / deg[v] if nbrs else 0.0
+        vals.append((j + 1) * (j * kbar - mu * mu) / (2 * g.m * var))
+    return vals
+
+
+def gdsp_degree(g, alpha):
+    """k^(1-alpha) * s^alpha, s the strength over out- and, when
+    directed, in-arcs."""
+    vals = []
+    for v in range(g.n):
+        strength = sum(w for _, w in g.adj[v])
+        if g.directed:
+            strength += sum(w for _, w in g.reversed.adj[v])
+        vals.append((float(g.degree(v)) ** (1.0 - alpha)) *
+                    (strength ** alpha))
+    return vals
+
+
+def alpha_distance_arcs(g, alpha):
+    """Each edge (each arc when directed) once, with length 1/w^alpha."""
+    return [(v, u, 1.0 / (w ** alpha)) for v in range(g.n)
+            for u, w in g.adj[v] if g.directed or v < u]
+
+
+def weight_neighborhood(g, phi, alpha):
+    """phi(v) plus the neighbours' phi, each weighted by
+    (k_u k_v)^alpha over its mean across the edges."""
+    deg = g.degrees()
+    weights = [(deg[u] * deg[v]) ** alpha for v in range(g.n)
+               for u, _ in g.adj[v] if g.directed or v < u]
+    mean_w = sum(weights) / len(weights) if weights else 1.0
+    vals = []
+    for v in range(g.n):
+        s = phi[v]
+        for u in g.all_neighbors(v):
+            s += ((deg[u] * deg[v]) ** alpha / mean_w) * phi[u]
+        vals.append(s)
+    return vals
+
+
+def si_spread_scores(g, params):
+    """Mean infected fraction after si_steps of an SI cascade from each
+    node over si_runs seeded replicates, one draw per exposed arc in row
+    order."""
+    n = g.n
+    totals = [0.0] * n
+    for rep in range(params.si_runs):
+        rng = random.Random(params.rng_seed + rep)
+        for seed in range(n):
+            infected = {seed}
+            frontier = [seed]
+            for _ in range(params.si_steps):
+                new = []
+                for v in frontier:
+                    for u, _ in g.adj[v]:
+                        if u not in infected and \
+                                rng.random() < params.si_beta:
+                            infected.add(u)
+                            new.append(u)
+                if not new:
+                    break
+                frontier = new
+            totals[seed] += len(infected) / n
+    return [t / params.si_runs for t in totals]
