@@ -40,6 +40,9 @@ class AttackPlan:
             raise GraphInputError("runs must be an integer >= 1")
         if not isinstance(self.rng_seed, Integral):
             raise GraphInputError("rng_seed must be an integer")
+        if not isinstance(self.phi_grid, (list, tuple)):
+            raise GraphInputError("phi_grid must be a list of numbers, not "
+                                  f"{self.phi_grid!r}")
         try:
             grid = sorted(float(x) for x in self.phi_grid)
         except (TypeError, ValueError) as exc:

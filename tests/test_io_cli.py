@@ -178,6 +178,7 @@ class TestConfig:
         ([1, 2], "object"),
         ({"input_path": "x", "attack": 5}, "attack"),
         ({"input_path": "x", "attack": {"phi_grid": ["a"]}}, "phi_grid"),
+        ({"input_path": "x", "attack": {"phi_grid": "1"}}, "phi_grid"),
         ({"input_path": "x", "attack": {"runs": "3"}}, "runs"),
         ({"input_path": "x", "attack": {"beta": None}}, "beta"),
         ({"input_path": "x", "attack": {"rng_seed": "x"}}, "rng_seed"),

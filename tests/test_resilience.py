@@ -263,6 +263,13 @@ class TestRunExperiment:
         with pytest.raises(GraphInputError):
             AttackPlan("infectious", [], [2.0])
 
+    @pytest.mark.parametrize("grid", ["1", "15", 0.5])
+    def test_phi_grid_must_be_a_list(self, grid):
+        # a string used to be read one character at a time: "1" gave
+        # the grid [0.0, 1.0] and "15" a complaint about phi values
+        with pytest.raises(GraphInputError, match="phi_grid must be a list"):
+            AttackPlan("non-infectious", ["degree"], grid)
+
 
 def _sir_graphs():
     """Seeded graphs the cascade runs on: Barabasi-Albert edges turned at
