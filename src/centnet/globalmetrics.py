@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
 from .graph import (
     INF,
     Graph,
+    _from_arcs,
     components,
     max_flow,
     power_iteration,
@@ -148,19 +150,13 @@ def flow_betweenness(g: Graph, normalized: bool = False,
     return sv
 
 
-def _grounded_inverse(g: Graph, nodes: list[int]) -> np.ndarray:
-    """Inverse of the weighted Laplacian on `nodes` with the last node
-    grounded, as a k x k matrix indexed by position in `nodes` (the
-    grounded node's row and column are zero)."""
-    k = len(nodes)
+def _grounded_inverse(sub) -> np.ndarray:
+    """Inverse of the Laplacian of the k x k weighted operator `sub`
+    with its last node grounded (that row and column are zero)."""
+    k = sub.shape[0]
     require_dense(k, "grounded Laplacian inverse")
-    pos = {v: i for i, v in enumerate(nodes)}
-    lap = np.zeros((k, k))
-    for v in nodes:
-        for u, w in g.adj[v]:
-            if u in pos:
-                lap[pos[v], pos[v]] += w
-                lap[pos[v], pos[u]] -= w
+    lap = -sub.toarray()
+    lap[np.diag_indices(k)] = sub @ np.ones(k)
     return np.pad(solve_linear(lap[:-1, :-1]), (0, 1))
 
 
@@ -184,27 +180,27 @@ def current_flow_betweenness(g: Graph,
         raise UnsupportedGraphError(
             "current-flow betweenness on a disconnected graph needs "
             "per_component=True")
-    vals = [0.0] * g.n
+    vals = np.zeros(g.n)
     for nodes in comps:
         nc = len(nodes)
         if nc < 3:
             continue
-        tmat = _grounded_inverse(g, nodes)
-        pos = {v: i for i, v in enumerate(nodes)}
-        edge_sum = [0.0] * nc
-        for v in nodes:
-            for u, w in g.adj[v]:
-                if u < v:
-                    continue
-                f = w * (tmat[pos[v]] - tmat[pos[u]])
-                f.sort()
-                # sum over node pairs s<t of |F(s)-F(t)| via sorted prefix
-                i = np.arange(nc)
-                s_e = float(np.sum((2 * i - nc + 1) * f))
-                edge_sum[pos[v]] += s_e
-                edge_sum[pos[u]] += s_e
-        for v in nodes:
-            vals[v] = (edge_sum[pos[v]] - (nc - 1)) / ((nc - 1) * (nc - 2))
+        sub = g.adjacency()[nodes][:, nodes]
+        tmat = _grounded_inverse(sub)
+        # each edge once, row by row: the upper triangle
+        upper = scipy.sparse.triu(sub, 1, "csr")
+        tails = np.repeat(np.arange(nc), np.diff(upper.indptr)).tolist()
+        edge_sum = np.zeros(nc)
+        i = np.arange(nc)
+        for v, u, w in zip(tails, upper.indices.tolist(),
+                           upper.data.tolist()):
+            f = w * (tmat[v] - tmat[u])
+            f.sort()
+            # sum over node pairs s<t of |F(s)-F(t)| via sorted prefix
+            s_e = float(np.sum((2 * i - nc + 1) * f))
+            edge_sum[v] += s_e
+            edge_sum[u] += s_e
+        vals[nodes] = (edge_sum - (nc - 1)) / ((nc - 1) * (nc - 2))
     return score_vector("current-flow-betweenness", vals)
 
 
@@ -225,7 +221,7 @@ def current_flow_closeness(g: Graph,
         nc = len(nodes)
         if nc < 2:
             continue
-        tmat = _grounded_inverse(g, nodes)
+        tmat = _grounded_inverse(g.adjacency()[nodes][:, nodes])
         for i, v in enumerate(nodes):
             total = 0.0
             for j in range(nc):
@@ -385,13 +381,11 @@ def improved_method_scores(g: Graph) -> ScoreVector:
 
 def _alpha_distance_graph(g: Graph, alpha: float) -> Graph:
     """Reweight: edge strength w becomes traversal length 1/w^alpha."""
-    from .graph import graph_from_arcs
-    arcs = []
-    for v in range(g.n):
-        for u, w in g.adj[v]:
-            if g.directed or v < u:
-                arcs.append((v, u, 1.0 / (w ** alpha)))
-    return graph_from_arcs(g.n, g.directed, arcs)
+    tails, heads, w = g.arc_tails, g.out_csr.indices, g.out_csr.weights
+    if not g.directed:
+        up = tails < heads
+        tails, heads, w = tails[up], heads[up], w[up]
+    return _from_arcs(g.n, g.directed, tails, heads, 1.0 / w ** alpha)
 
 
 def generalized_weighted_family(g: Graph, metric: str,
@@ -401,13 +395,11 @@ def generalized_weighted_family(g: Graph, metric: str,
     if alpha < 0:
         raise GraphInputError("alpha must be >= 0")
     if metric == "gdsp-degree":
-        vals = []
-        for v in range(g.n):
-            k = float(g.degree(v))
-            strength = sum(w for _, w in g.adj[v])
-            if g.directed:
-                strength += sum(w for _, w in g.in_adj[v])
-            vals.append((k ** (1.0 - alpha)) * (strength ** alpha))
+        ones = np.ones(g.n)
+        strength = g.adjacency() @ ones
+        if g.directed:
+            strength += g.reversed.adjacency() @ ones
+        vals = g.degree_array ** (1.0 - alpha) * strength ** alpha
         return score_vector("gdsp-degree", vals, {"alpha": alpha})
     if metric not in ("gdsp-closeness", "gdsp-betweenness"):
         raise GraphInputError(f"unknown generalized metric {metric!r}")
@@ -426,21 +418,17 @@ def weight_neighborhood(g: Graph, benchmark: str = "degree",
     """Benchmark score plus degree-power-weighted neighbor scores."""
     if not 0.0 <= alpha <= 1.0:
         raise GraphInputError("alpha must lie in [0,1]")
-    phi = _benchmark_scores(g, benchmark, params)
-    deg = g.degrees()
-    weights = []
-    for v in range(g.n):
-        for u, _ in g.adj[v]:
-            if g.directed or v < u:
-                weights.append((deg[u] * deg[v]) ** alpha)
-    mean_w = sum(weights) / len(weights) if weights else 1.0
-    vals = []
-    for v in range(g.n):
-        s = phi[v]
-        for u in g.all_neighbors(v):
-            w_uv = (deg[u] * deg[v]) ** alpha
-            s += (w_uv / mean_w) * phi[u]
-        vals.append(s)
+    phi = np.asarray(_benchmark_scores(g, benchmark, params))
+    deg = g.degree_array
+    # (k_u k_v)^alpha over its mean across the edges (the arcs when
+    # directed), on every pair of neighbours
+    mean_w = np.mean((deg[g.arc_tails] * deg[g.out_csr.indices]) ** alpha) \
+        if g.m else 1.0
+    sym = g.undirected_adjacency
+    tails = np.repeat(np.arange(g.n), np.diff(sym.indptr))
+    w = (deg[tails] * deg[sym.indices]) ** alpha / mean_w
+    vals = phi + scipy.sparse.csr_matrix((w, sym.indices, sym.indptr),
+                                         shape=sym.shape) @ phi
     return score_vector("weight-neighborhood", vals,
                         {"alpha": alpha, "benchmark": benchmark})
 
@@ -476,7 +464,7 @@ def _si_spread_scores(g: Graph, params: MetricParams) -> list[float]:
             for _ in range(params.si_steps):
                 new = []
                 for v in frontier:
-                    for u, _ in g.adj[v]:
+                    for u in g.neighbors(v):
                         if u not in infected and \
                                 rng.random() < params.si_beta:
                             infected.add(u)

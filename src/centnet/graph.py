@@ -10,9 +10,9 @@ in-neighbours. `build_graph` interns the labels in one dict pass and
 builds the rows with numpy: self-loops dropped, duplicates collapsed to
 their first occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
-operator, which `components` (through scipy.sparse.csgraph) reads. The
-tuple rows `Graph.adj` and `Graph.in_adj` are derived only when read,
-for the readers not yet ported to the arrays.
+operator, which `components` (through scipy.sparse.csgraph) and the
+metrics read. `Graph.adj`, the out-rows as tuples, is derived only when
+read; no metric reads it.
 
 `traverse` runs shortest paths from a block of sources at a time. On
 unit weights, while the search stays shallow, it is a
@@ -118,11 +118,9 @@ class Graph:
     The accessors, `adjacency()` and `undirected_adjacency` read the
     rows.
 
-    `adj` and `in_adj` give the rows as tuples of (neighbour, weight)
-    pairs, derived on first read. The tests and their oracles, the
-    benchmark harness's arc count and the metrics not yet ported to the
-    arrays (in `local`, `globalmetrics` and `graphmetrics`) read them;
-    no benchmark path does.
+    `adj` gives the out-rows as tuples of (neighbour, weight) pairs,
+    derived on first read (`reversed.adj` gives the in-rows). Only the
+    tests, their oracles and the benchmark harness's arc count read it.
     """
 
     n: int
@@ -183,11 +181,6 @@ class Graph:
         """adj[v]: v's out-neighbours as (neighbour, weight) pairs,
         sorted by neighbour; derived from `out_csr` on first read."""
         return _tuple_rows(self.out_csr)
-
-    @cached_property
-    def in_adj(self) -> tuple:
-        """In-neighbours, as `adj`; the same object when undirected."""
-        return _tuple_rows(self.in_csr) if self.directed else self.adj
 
     @property
     def unit_weights(self) -> bool:
@@ -335,10 +328,8 @@ def _malformed(edges) -> GraphInputError:
 
 def graph_from_arcs(n: int, directed: bool, arcs,
                     coords=None) -> Graph:
-    """Id-preserving constructor for internal reweighting/subgraphs.
-
-    `arcs` are (u, v, w) with 0 <= u, v < n already deduplicated.
-    """
+    """Id-preserving constructor: the Graph of `arcs`, (u, v, w) with
+    0 <= u, v < n already deduplicated."""
     arcs = np.array(list(arcs), dtype=float).reshape(-1, 3)
     ends = arcs[:, :2].astype(np.int64)
     return _from_arcs(n, directed, ends[:, 0], ends[:, 1], arcs[:, 2],

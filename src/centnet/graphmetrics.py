@@ -8,6 +8,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .errors import GraphInputError, SizeCapError, UnsupportedGraphError
 from .graph import INF, Graph, all_distances, components, shortest_paths
 from .globalmetrics import betweenness_family, closeness_family, \
@@ -102,12 +104,10 @@ def reciprocity(g: Graph) -> GraphMetricValue:
     """Tr(A^2) / m: fraction of arcs that are reciprocated."""
     if not g.directed:
         raise UnsupportedGraphError("reciprocity needs a directed graph")
-    m = g.m
-    if m == 0:
+    if g.m == 0:
         return GraphMetricValue("reciprocity", 0.0)
-    out_sets = [set(g.neighbors(v)) for v in range(g.n)]
-    co = sum(1 for v in range(g.n) for u in out_sets[v] if v in out_sets[u])
-    return GraphMetricValue("reciprocity", co / m)
+    a = g.adjacency(False)
+    return GraphMetricValue("reciprocity", a.multiply(a.T).nnz / g.m)
 
 
 # -- cohesive subgroups -------------------------------------------------------
@@ -337,52 +337,37 @@ def cohesive_subgroup(g: Graph, kind: str, k: int = 1,
 def global_clustering(g: Graph) -> GraphMetricValue:
     """Mean local clustering coefficient (degree <2 contributes 0)."""
     cc = local_clustering(g)
-    value = sum(cc) / len(cc) if cc else 0.0
+    value = sum(cc.tolist()) / g.n if g.n else 0.0
     return GraphMetricValue("global-clustering", value)
 
 
 def _endpoint_series(g: Graph, mode: str):
-    xs, ys = [], []
-    indeg = [g.in_degree(v) for v in range(g.n)]
-    outdeg = [g.out_degree(v) for v in range(g.n)]
-    deg = g.degrees()
-    for u in range(g.n):
-        for v, _ in g.adj[u]:
-            if mode == "undirected":
-                xs.append(deg[u] - 1)
-                ys.append(deg[v] - 1)
-            elif mode == "directed-out-in":
-                xs.append(outdeg[u] - 1)
-                ys.append(indeg[v] - 1)
-            elif mode == "in-in":
-                xs.append(indeg[u] - 1)
-                ys.append(indeg[v] - 1)
-            elif mode == "out-out":
-                xs.append(outdeg[u] - 1)
-                ys.append(outdeg[v] - 1)
-            else:
-                raise GraphInputError(f"unknown assortativity mode {mode!r}")
-    return xs, ys
+    """(xs, ys): the excess degrees at the tail and at the head of every
+    arc, in storage order."""
+    out, inn = g.out_csr.degrees, g.in_csr.degrees
+    ends = {"undirected": (g.degree_array,) * 2,
+            "directed-out-in": (out, inn), "in-in": (inn, inn),
+            "out-out": (out, out)}.get(mode)
+    if ends is None:
+        raise GraphInputError(f"unknown assortativity mode {mode!r}")
+    if mode != "undirected" and not g.directed:
+        raise UnsupportedGraphError(f"{mode} assortativity needs a "
+                                    "directed graph")
+    return ends[0][g.arc_tails] - 1.0, ends[1][g.out_csr.indices] - 1.0
 
 
 def assortativity(g: Graph, mode: str = "undirected") -> GraphMetricValue:
     """Pearson correlation of excess degrees across edge endpoints."""
-    if mode != "undirected" and not g.directed:
-        raise UnsupportedGraphError(f"{mode} assortativity needs a "
-                                    "directed graph")
     xs, ys = _endpoint_series(g, mode)
-    if len(xs) < 2:
+    if xs.size < 2:
         raise GraphInputError("assortativity needs at least 2 edges")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    vx, vy = dx @ dx, dy @ dy
     if vx == 0.0 or vy == 0.0:
         raise GraphInputError(
             "assortativity undefined: zero excess-degree variance")
     return GraphMetricValue(f"assortativity-{mode}",
-                            cov / math.sqrt(vx * vy))
+                            float(dx @ dy / math.sqrt(vx * vy)))
 
 
 def local_assortativity(g: Graph) -> ScoreVector:
@@ -391,22 +376,20 @@ def local_assortativity(g: Graph) -> ScoreVector:
         raise UnsupportedGraphError(
             "local assortativity is defined on undirected graphs")
     xs, _ = _endpoint_series(g, "undirected")
-    if len(xs) < 2:
+    if xs.size < 2:
         raise GraphInputError("local assortativity needs at least 2 edges")
-    mu = sum(xs) / len(xs)
-    var = sum((x - mu) ** 2 for x in xs) / len(xs)
+    mu = xs.mean()
+    var = np.mean((xs - mu) ** 2)
     if var == 0.0:
         raise GraphInputError(
             "local assortativity undefined: zero excess-degree variance")
-    m = g.m
-    deg = g.degrees()
-    vals = []
-    for v in range(g.n):
-        j = deg[v] - 1
-        nbrs = g.neighbors(v)
-        kbar = sum(deg[u] - 1 for u in nbrs) / deg[v] if nbrs else 0.0
-        vals.append((j + 1) * (j * kbar - mu * mu) / (2 * m * var))
-    return score_vector("local-assortativity", vals)
+    deg = g.degree_array
+    j = deg - 1.0
+    # the mean excess degree of v's neighbours
+    kbar = np.divide(g.adjacency(False) @ j, deg, out=np.zeros(g.n),
+                     where=deg > 0)
+    return score_vector("local-assortativity",
+                        (j + 1) * (j * kbar - mu * mu) / (2 * g.m * var))
 
 
 # -- hyperbolicity -------------------------------------------------------------

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import combinations
+
+import numpy as np
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph
+from .graph import Graph, row_positions
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -59,24 +59,12 @@ def ball(g: Graph, v: int, h: int) -> set:
     return out
 
 
-def _two_ball_sizes(g: Graph) -> list[int]:
-    """|N_2(w)| for every w: nearest plus next-nearest neighbors."""
-    sizes = []
-    for w in range(g.n):
-        seen = {w}
-        level1 = []
-        for u in g.neighbors(w):
-            if u not in seen:
-                seen.add(u)
-                level1.append(u)
-        count = len(level1)
-        for u in level1:
-            for x in g.neighbors(u):
-                if x not in seen:
-                    seen.add(x)
-                    count += 1
-        sizes.append(count)
-    return sizes
+def _semi_local(a) -> np.ndarray:
+    """A @ (A @ d2), d2 the nearest plus next-nearest neighbour count of
+    every node: the entries of A + A @ A off the diagonal, row by row.
+    Every sum adds integers, so it is exact."""
+    b = a + a @ a
+    return a @ (a @ (np.diff(b.indptr) - (b.diagonal() > 0)))
 
 
 def neighborhood_degree_family(g: Graph, metric: str,
@@ -85,21 +73,14 @@ def neighborhood_degree_family(g: Graph, metric: str,
     _require_undirected(g, metric)
     params = params or MetricParams()
     if metric == "semi-local":
-        d2 = _two_ball_sizes(g)
-        q = [sum(d2[w] for w in g.neighbors(u)) for u in range(g.n)]
-        vals = [float(sum(q[u] for u in g.neighbors(v))) for v in range(g.n)]
-        return score_vector("semi-local", vals)
+        return score_vector("semi-local", _semi_local(g.adjacency(False)))
     if metric == "hybrid-degree":
         alpha = 1000.0 if params.alpha is None else params.alpha
         beta = 0.1 if params.beta is None else params.beta
         p = params.p
-        d2 = _two_ball_sizes(g)
-        q = [sum(d2[w] for w in g.neighbors(u)) for u in range(g.n)]
-        vals = []
-        for v in range(g.n):
-            semi = sum(q[u] for u in g.neighbors(v))
-            m_local = semi - 2 * sum(g.degree(u) for u in g.neighbors(v))
-            vals.append((beta - p) * alpha * g.degree(v) + p * m_local)
+        a, deg = g.adjacency(False), g.degree_array
+        m_local = _semi_local(a) - 2 * (a @ deg)
+        vals = (beta - p) * alpha * deg + p * m_local
         return score_vector("hybrid-degree", vals,
                             {"alpha": alpha, "beta": beta, "p": p})
     if metric == "volume":
@@ -112,29 +93,23 @@ def neighborhood_degree_family(g: Graph, metric: str,
 # -- clustering ----------------------------------------------------------
 
 
-def local_clustering(g: Graph) -> list[float]:
+def _linked_pairs(g: Graph) -> np.ndarray:
+    """The ordered pairs (r, s) of v's out-neighbours with an arc r -> s,
+    for every v: the row sums of (A @ A) * A on the 0/1 adjacency. An
+    undirected graph counts each linked pair both ways."""
+    a = g.adjacency(False)
+    return np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+
+
+def local_clustering(g: Graph) -> np.ndarray:
     """Per-node clustering coefficient; <2 (out-)neighbors scores 0.
 
-    Directed graphs use the out-neighborhood and count ordered linked
-    pairs over the ordered pair count.
+    Linked ordered pairs of out-neighbours over the k(k - 1) ordered
+    pairs, k the out-degree.
     """
-    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
-    vals = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        k = len(nbrs)
-        if k < 2:
-            vals.append(0.0)
-            continue
-        if g.directed:
-            links = sum(1 for r in nbrs for s in nbrs
-                        if r != s and s in nbr_sets[r])
-            vals.append(links / (k * (k - 1)))
-        else:
-            links = sum(1 for r, s in combinations(nbrs, 2)
-                        if s in nbr_sets[r])
-            vals.append(2.0 * links / (k * (k - 1)))
-    return vals
+    k = g.out_csr.degrees
+    return np.divide(_linked_pairs(g), k * (k - 1.0), out=np.zeros(g.n),
+                     where=k >= 2)
 
 
 def clustering_family(g: Graph, metric: str = "clustering") -> ScoreVector:
@@ -145,56 +120,42 @@ def clustering_family(g: Graph, metric: str = "clustering") -> ScoreVector:
     if metric == "clusterrank":
         if not g.directed:
             raise UnsupportedGraphError("clusterrank needs a directed graph")
-        cc = local_clustering(g)
-        vals = []
-        for v in range(g.n):
-            s = sum(g.out_degree(u) + 1 for u in g.neighbors(v))
-            vals.append(10.0 ** (-cc[v]) * s)
-        return score_vector("clusterrank", vals)
+        s = g.adjacency(False) @ (g.out_csr.degrees + 1.0)
+        # Python's float pow: numpy's may round the last bit differently
+        return score_vector("clusterrank", [
+            10.0 ** -c * x for c, x in zip(local_clustering(g).tolist(),
+                                           s.tolist())])
     raise GraphInputError(f"unknown clustering metric {metric!r}")
 
 
-def _redundancy(g: Graph) -> list[float]:
+def _redundancy(g: Graph) -> np.ndarray:
     _require_undirected(g, "redundancy")
-    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    rows, tails = g.out_csr, g.arc_tails
     if g.unit_weights:
         # Borgatti's simple-graph reduction: 2e / degree
-        vals = []
-        for v in range(g.n):
-            k = g.degree(v)
-            if k == 0:
-                vals.append(0.0)
-                continue
-            nbrs = g.neighbors(v)
-            e = sum(1 for r, s in combinations(nbrs, 2) if s in nbr_sets[r])
-            vals.append(2.0 * e / k)
-        return vals
-    # weighted ego network: p_vs marginal tie strength, m_rs relative
-    # strength of r's tie to s among r's contacts inside the ego net
-    w = {}
-    for u in range(g.n):
-        for v2, wt in g.adj[u]:
-            w[(u, v2)] = wt
-    vals = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        denom_v = sum(w[(v, r)] + w[(r, v)] for r in nbrs)
-        if denom_v == 0:
-            vals.append(0.0)
-            continue
-        total = 0.0
-        for r in nbrs:
-            shared = nbr_sets[r] & nbr_sets[v]
-            if not shared:
-                continue
-            max_rt = max(w.get((r, t), 0.0) + w.get((t, r), 0.0)
-                         for t in shared)
-            for s in shared:
-                p_vs = (w.get((v, s), 0.0) + w.get((s, v), 0.0)) / denom_v
-                m_rs = (w.get((r, s), 0.0) + w.get((s, r), 0.0)) / max_rt
-                total += p_vs * m_rs
-        vals.append(total)
-    return vals
+        return np.divide(_linked_pairs(g), rows.degrees, out=np.zeros(g.n),
+                         where=rows.degrees > 0)
+    # weighted ego network: the sum over the triangles (v, r, s) of
+    # p_vs = w_vs / (v's strength), the marginal tie strength, times
+    # m_rs = w_rs / max w_rt over the common neighbours t of v and r
+    heads, w = rows.indices, rows.weights
+    # every wedge v - r - t: the arc e = (v, r) and the position rt of
+    # (r, t); it closes a triangle when the key of (v, t) is among the
+    # sorted keys of the arcs, at position vt
+    e = np.repeat(np.arange(heads.size), rows.degrees[heads])
+    rt = row_positions(rows.indptr, heads)
+    keys = tails * g.n + heads
+    want = tails[e] * g.n + heads[rt]
+    vt = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    closed = keys[vt] == want
+    e, rt, vt = e[closed], rt[closed], vt[closed]
+    top = np.zeros(heads.size)
+    np.maximum.at(top, e, w[rt])
+    shared = np.bincount(e, w[vt] * w[rt], minlength=heads.size)
+    per_arc = np.divide(shared, top, out=np.zeros(heads.size), where=top > 0)
+    strength = np.bincount(tails, w, minlength=g.n)
+    return np.divide(np.bincount(tails, per_arc, minlength=g.n), strength,
+                     out=np.zeros(g.n), where=strength > 0)
 
 
 # -- entropy -------------------------------------------------------------
@@ -202,6 +163,8 @@ def _redundancy(g: Graph) -> list[float]:
 
 def entropy_family(g: Graph, metric: str) -> ScoreVector:
     """Local entropy -sum d(u) ln d(u); mapping entropy -d(v) sum ln d(u)."""
+    if metric not in ("local-entropy", "mapping-entropy"):
+        raise GraphInputError(f"unknown entropy metric {metric!r}")
     deg = g.degrees()
     vals = []
     for v in range(g.n):
@@ -209,11 +172,9 @@ def entropy_family(g: Graph, metric: str) -> ScoreVector:
         if metric == "local-entropy":
             vals.append(-sum(deg[u] * math.log(deg[u]) for u in nbrs
                              if deg[u] > 0))
-        elif metric == "mapping-entropy":
+        else:
             vals.append(-deg[v] * sum(math.log(deg[u]) for u in nbrs
                                       if deg[u] > 0))
-        else:
-            raise GraphInputError(f"unknown entropy metric {metric!r}")
     return score_vector(metric, vals)
 
 

@@ -79,7 +79,7 @@ def sigma_counts(g, s, dist):
     for v in order:
         if v == s:
             continue
-        sigma[v] = sum(sigma[u] for u, w in g.in_adj[v]
+        sigma[v] = sum(sigma[u] for u, w in g.reversed.adj[v]
                        if dist[s][u] + w == dist[s][v])
     return sigma
 
@@ -124,8 +124,7 @@ def bf_load(g):
             for v in order:
                 if v == s or v not in amount:
                     continue
-                preds = [u for u, w in
-                         (g.in_adj[v] if g.directed else g.adj[v])
+                preds = [u for u, w in g.reversed.adj[v]
                          if dist[s][u] + w == dist[s][v]]
                 share = amount[v] / len(preds)
                 for u in preds:
@@ -311,7 +310,8 @@ def bf_k_shell(g):
             for v in list(alive):
                 deg = sum(1 for u, _ in g.adj[v] if u in alive)
                 if g.directed:
-                    deg += sum(1 for u, _ in g.in_adj[v] if u in alive)
+                    deg += sum(1 for u, _ in g.reversed.adj[v]
+                               if u in alive)
                 if deg < k:
                     alive.discard(v)
                     changed = True

@@ -201,6 +201,14 @@ class TestClusteringAndAssortativity:
         with pytest.raises(UnsupportedGraphError):
             assortativity(p4, "in-in")
 
+    def test_unknown_mode_named(self, p4):
+        # on an undirected graph this used to claim that the mode needs
+        # a directed graph
+        directed = build_graph([(0, 1), (1, 2), (2, 0)], directed=True)
+        for g in (p4, directed):
+            with pytest.raises(GraphInputError, match="bogus"):
+                assortativity(g, "bogus")
+
 
 class TestLocalAssortativity:
     def test_sums_to_global(self, atlas_sample):

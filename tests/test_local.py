@@ -125,6 +125,13 @@ class TestClustering:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]])
+    def test_unknown_metric_named(self, edges):
+        # on a graph with no nodes the name used to come back as the
+        # metric id of an empty score vector
+        with pytest.raises(GraphInputError, match="bogus"):
+            entropy_family(build_graph(edges), "bogus")
+
     def test_star_center_zero(self, s5):
         assert entropy_family(s5, "local-entropy").values[0] == 0.0
         assert entropy_family(s5, "mapping-entropy").values[0] == 0.0

@@ -204,7 +204,7 @@ def test_build_matches_the_tuple_build(case):
     assert (g.labels, g.n) == (ref.labels, ref.n)
     assert g.self_loops_dropped == ref.self_loops_dropped
     assert g.duplicates_collapsed == ref.duplicates_collapsed
-    assert g.adj == ref.adj and g.in_adj == ref.in_adj
+    assert g.adj == ref.adj and g.reversed.adj == ref.in_adj
     for weighted in (True, False):
         assert _arrays(g.adjacency(weighted)) == \
             _arrays(ref.adjacency(weighted))

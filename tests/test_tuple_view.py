@@ -1,11 +1,13 @@
-"""The benchmark's end-to-end paths never build the tuple adjacency.
+"""No metric and no benchmark path builds the tuple adjacency.
 
-`Graph.adj` and `in_adj` are derived from the CSR arrays on first read.
-Each test parses a small seeded edge-list file of one benchmark shape
-and runs that shape's operations: the path metrics on an undirected
-Barabasi-Albert graph, the six spectral metrics on a directed weighted
-one, and the non-infectious and infectious attack plans. No tuple row
-may be built on the way.
+`Graph.adj` is derived from the CSR arrays on first read, and only the
+tests and the benchmark harness's arc count read it. Four tests parse a
+small seeded edge-list file of one benchmark shape and run that shape's
+operations: the path metrics on an undirected Barabasi-Albert graph, the
+six spectral metrics on a directed weighted one, and the non-infectious
+and infectious attack plans. The last two run every registry point and
+graph metric on small undirected, weighted and directed graphs. No
+tuple row may be built on the way.
 """
 
 import random
@@ -13,7 +15,8 @@ import random
 import pytest
 
 from _synth import ba_edges
-from centnet import AttackPlan, graph, registry, run_experiment
+from centnet import AttackPlan, SizeCapError, UnsupportedGraphError, \
+    build_graph, graph, registry, run_experiment
 from centnet.io import parse_edge_list
 
 
@@ -46,7 +49,7 @@ def _oriented(edges, seed):
 def _untouched(g, made):
     assert made == []
     for h in (g, g.reversed):
-        assert "adj" not in vars(h) and "in_adj" not in vars(h)
+        assert "adj" not in vars(h)
 
 
 def test_path_metrics(tmp_path, tuple_rows):
@@ -89,7 +92,44 @@ def test_spread_plan(tmp_path, tuple_rows):
     _untouched(g, tuple_rows)
 
 
+def _small(kind):
+    """A 30-node graph with coordinates: Barabasi-Albert edges, unit or
+    weighted, or turned at random and threaded by a directed cycle."""
+    edges = ba_edges(30, 2, 6)
+    if kind == "weighted":
+        edges = [(u, v, 1.0 + (u * v) % 3) for u, v in edges]
+    elif kind == "directed":
+        edges = _oriented(edges, 6) + [(v, (v + 1) % 30) for v in range(30)]
+    rng = random.Random(6)
+    coords = {v: (rng.random(), rng.random()) for v in range(30)}
+    return build_graph(edges, directed=kind == "directed",
+                       coordinates=coords)
+
+
+KINDS = ("undirected", "weighted", "directed")
+
+
+def _run(g, compute, metric_id, made):
+    try:
+        compute(g, metric_id)
+    except (UnsupportedGraphError, SizeCapError):
+        pass
+    _untouched(g, made)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("metric_id", registry.point_metric_ids())
+def test_every_point_metric(kind, metric_id, tuple_rows):
+    _run(_small(kind), registry.compute_point_metric, metric_id, tuple_rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("metric_id", registry.graph_metric_ids())
+def test_every_graph_metric(kind, metric_id, tuple_rows):
+    _run(_small(kind), registry.compute_graph_metric, metric_id, tuple_rows)
+
+
 def test_reading_adj_builds_the_view_once(tmp_path, tuple_rows):
     g = _parsed(tmp_path, _oriented(ba_edges(50, 2, 5), 5), directed=True)
-    assert g.adj is g.adj and g.in_adj is g.in_adj
+    assert g.adj is g.adj and g.reversed.adj is g.reversed.adj
     assert len(tuple_rows) == 2
