@@ -12,7 +12,6 @@ the loops exactly; the rest agree to REL.
 import random
 
 import networkx as nx
-import numpy as np
 import pytest
 
 import oracles
