@@ -178,10 +178,10 @@ class TestConfig:
         ([1, 2], "object"),
         ({"input_path": "x", "attack": 5}, "attack"),
         ({"input_path": "x", "attack": {"phi_grid": ["a"]}}, "phi_grid"),
-        ({"input_path": "x", "attack": {"phi_grid": "1"}}, "phi_grid"),
         ({"input_path": "x", "attack": {"runs": "3"}}, "runs"),
         ({"input_path": "x", "attack": {"beta": None}}, "beta"),
         ({"input_path": "x", "attack": {"rng_seed": "x"}}, "rng_seed"),
+        ({"input_path": "x", "attack": {"phi_grid": "1"}}, "phi_grid"),
     ])
     def test_malformed_field(self, tmp_path, data, field):
         cfg = tmp_path / "cfg.json"
