@@ -1,4 +1,8 @@
-"""Point centralities requiring whole-graph path or flow computations."""
+"""Point centralities requiring whole-graph path or flow computations.
+
+Information centrality is current-flow closeness: both read the
+effective resistances of one grounded Laplacian inverse per component.
+"""
 
 from __future__ import annotations
 
@@ -216,18 +220,16 @@ def current_flow_closeness(g: Graph,
         raise UnsupportedGraphError(
             "current-flow closeness on a disconnected graph needs "
             "per_component=True")
-    vals = [0.0] * g.n
+    vals = np.zeros(g.n)
     for nodes in comps:
         nc = len(nodes)
         if nc < 2:
             continue
         tmat = _grounded_inverse(g.adjacency()[nodes][:, nodes])
-        for i, v in enumerate(nodes):
-            total = 0.0
-            for j in range(nc):
-                if j != i:
-                    total += tmat[i, i] + tmat[j, j] - 2 * tmat[i, j]
-            vals[v] = nc / total
+        # each node's effective resistances to the others, summed:
+        # sum_j T_ii + T_jj - 2 T_ij
+        vals[nodes] = nc / (nc * np.diag(tmat) + np.trace(tmat)
+                            - 2.0 * tmat.sum(axis=1))
     return score_vector("current-flow-closeness", vals)
 
 
@@ -315,24 +317,15 @@ def closeness_family(g: Graph, metric: str = "closeness",
 
 
 def information_centrality(g: Graph) -> ScoreVector:
-    """Stephenson-Zelen information centrality via C = D - A + J."""
+    """Stephenson-Zelen information centrality: current-flow closeness
+    on a connected undirected graph (Brandes & Fleischer 2005)."""
     if g.directed:
         raise UnsupportedGraphError(
             "information centrality needs an undirected graph")
     _require_connected(g, "information centrality")
-    n = g.n
-    require_dense(n, "information centrality")
-    if n < 2:
-        return score_vector("information", [0.0] * n)
-    a = g.adjacency_matrix()
-    d = np.diag(a.sum(axis=1))
-    c = solve_linear(d - a + np.ones((n, n)))
-    diag = np.diag(c)
-    vals = []
-    for v in range(n):
-        denom = float(np.sum(diag + diag[v] - 2.0 * c[v, :]))
-        vals.append(n / denom)
-    return score_vector("information", vals)
+    if g.n < 2:
+        return score_vector("information", [0.0] * g.n)
+    return score_vector("information", current_flow_closeness(g).values)
 
 
 # -- k-shell tie-broken ranking -------------------------------------------
@@ -399,7 +392,11 @@ def generalized_weighted_family(g: Graph, metric: str,
         strength = g.adjacency() @ ones
         if g.directed:
             strength += g.reversed.adjacency() @ ones
-        vals = g.degree_array ** (1.0 - alpha) * strength ** alpha
+        # a degree-0 node scores 0, the limit of k^(1-alpha) s^alpha
+        deg = g.degree_array
+        vals = np.zeros(g.n)
+        on = deg > 0
+        vals[on] = deg[on] ** (1.0 - alpha) * strength[on] ** alpha
         return score_vector("gdsp-degree", vals, {"alpha": alpha})
     if metric not in ("gdsp-closeness", "gdsp-betweenness"):
         raise GraphInputError(f"unknown generalized metric {metric!r}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -817,7 +818,10 @@ def solve_linear(m, b=None):
         raise GraphInputError("solve_linear needs a square matrix")
     n = m.shape[0]
     require_dense(n, "linear solve")
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    with warnings.catch_warnings():
+        # an exactly zero pivot warns; the check below names it instead
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     diag = np.abs(np.diag(lu))
     scale = max(np.max(np.abs(m)), 1.0)
     bad = np.nonzero(diag <= scale * n * np.finfo(float).eps)[0]

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import GraphInputError, SizeCapError, UnsupportedGraphError
 from .graph import INF, Graph, all_distances, components, shortest_paths
@@ -116,7 +117,6 @@ def reciprocity(g: Graph) -> GraphMetricValue:
 def k_core_set(g: Graph, k: int) -> tuple:
     """Maximal vertex set whose induced subgraph has min degree >= k:
     the nodes whose k-shell index is at least k."""
-    from .iterative import k_shell
     return tuple(v for v, s in enumerate(k_shell(g).shell_index) if s >= k)
 
 
@@ -184,61 +184,29 @@ def _split_max_flow(n: int, arcs: set, s: int, t: int,
 
     Returns (flow value, min vertex cut). Node v becomes v_in = 2v,
     v_out = 2v+1 with a capacity-1 internal arc; graph arcs get a large
-    capacity. `forbidden` nodes are excluded entirely.
+    capacity. `forbidden` nodes are excluded entirely. The cut is the
+    nodes whose v_in the positive residual reaches from s_in and whose
+    v_out it does not; every maximum flow leaves the same reachable set.
     """
     big = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, set] = {}
-
-    def add(a, b, c):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), cap.get((b, a), 0))
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for v in range(n):
-        if v in forbidden:
-            continue
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u, v in arcs:
-        if u in forbidden or v in forbidden:
-            continue
-        add(2 * u + 1, 2 * v, big)
-
-    flow: dict[tuple[int, int], int] = {}
-    src, dst = 2 * s, 2 * t + 1
-    value = 0
-    while True:
-        prev = {src: src}
-        q = deque([src])
-        while q and dst not in prev:
-            a = q.popleft()
-            for b in sorted(adj.get(a, ())):
-                if b not in prev and \
-                        cap.get((a, b), 0) - flow.get((a, b), 0) > 0:
-                    prev[b] = a
-                    q.append(b)
-        if dst not in prev:
-            break
-        b = dst
-        while b != src:
-            a = prev[b]
-            flow[(a, b)] = flow.get((a, b), 0) + 1
-            flow[(b, a)] = flow.get((b, a), 0) - 1
-            b = a
-        value += 1
-    # residual-reachable side determines the vertex cut
-    side = {src}
-    q = deque([src])
-    while q:
-        a = q.popleft()
-        for b in adj.get(a, ()):
-            if b not in side and cap.get((a, b), 0) - flow.get((a, b), 0) > 0:
-                side.add(b)
-                q.append(b)
-    cut = {v for v in range(n)
-           if v not in forbidden and 2 * v in side and 2 * v + 1 not in side}
-    return value, cut
+    keep = np.ones(n, dtype=bool)
+    keep[list(forbidden)] = False
+    inner = np.flatnonzero(keep)
+    uv = np.array(list(arcs), dtype=np.int64).reshape(-1, 2)
+    uv = uv[keep[uv[:, 0]] & keep[uv[:, 1]]]
+    cap = np.ones(inner.size, dtype=np.int32)
+    cap[np.isin(inner, (s, t))] = big
+    net = scipy.sparse.csr_array(
+        (np.concatenate([cap, np.full(len(uv), big, dtype=np.int32)]),
+         (np.concatenate([2 * inner, 2 * uv[:, 0] + 1]),
+          np.concatenate([2 * inner + 1, 2 * uv[:, 1]]))),
+        shape=(2 * n, 2 * n))
+    res = maximum_flow(net, 2 * s, 2 * t + 1)
+    side = np.zeros(2 * n, dtype=bool)
+    side[breadth_first_order(net - res.flow > 0, 2 * s,
+                             return_predecessors=False)] = True
+    cut = inner[side[2 * inner] & ~side[2 * inner + 1]]
+    return int(res.flow_value), set(cut.tolist())
 
 
 def _vertex_connectivity(g: Graph, nodes: list[int]) -> tuple[int, set]:

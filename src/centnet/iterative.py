@@ -6,12 +6,14 @@ Each fixed-point metric is a sparse operator built from
 LeaderRank, HITS and SALSA hand their own step to `fixed_point`.
 Diffusion is a fixed number of sparse products, and Katz and subgraph
 centrality are dense solves under the dense cap.
+
+k-shell and mixed-degree decomposition are one peel, keyed on residual
++ lambda * exhausted degree: k-shell is its lambda = 0 case.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,39 +43,38 @@ class DecompositionResult:
         return score_vector("k-shell", [float(s) for s in self.shell_index])
 
 
-def _total_degree_operator(g: Graph) -> scipy.sparse.csr_matrix:
-    """int64 CSR: row v holds v's neighbours, direction ignored, each with
-    its number of arcs to or from v, so a reciprocal pair counts twice
-    and a row sums to the total degree."""
-    a = g.adjacency(weighted=False)
-    return ((a + a.T).tocsr() if g.directed else a).astype(np.int64)
+def _peel(g: Graph, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(removal order, stage of each node) of iterative pruning keyed on
+    residual + lam * exhausted degree, direction ignored.
 
-
-def k_shell(g: Graph) -> DecompositionResult:
-    """Iterative minimum-degree pruning (Batagelj & Zaversnik); directed
-    graphs use total degree.
-
-    Each round removes every live node whose residual degree is at most
-    the stage k and takes the removed arcs off their live neighbours;
-    only those neighbours are examined for the next round. When a round
-    finds nobody, k rises to the least live degree. The rounds number
+    Each round removes every live node whose key is at most the stage m
+    and moves the removed arcs of its live neighbours from residual to
+    exhausted; only those neighbours are examined for the next round.
+    When a round finds nobody, m rises to the least live key. A key only
+    falls within a stage (by (1 - lam) per arc), so the nodes a stage
+    removes do not depend on the order of its rounds. The rounds number
     the peel depth plus the stages, so a path of n nodes takes n/2
     rounds; the removal order lists each round in id order.
     """
-    op = _total_degree_operator(g)
+    a = g.adjacency(weighted=False)
+    # row v: v's neighbours, each with its number of arcs to or from v,
+    # so a reciprocal pair counts twice and a row sums to the total degree
+    op = ((a + a.T).tocsr() if g.directed else a).astype(np.int64)
     ptr, nbrs, arcs = op.indptr, op.indices, op.data
-    deg = np.asarray(op.sum(axis=1)).ravel()
+    degree = np.asarray(op.sum(axis=1)).ravel()
+    residual = degree.copy()      # exhausted degree: degree - residual
+    key = degree.astype(float)
     alive = np.ones(g.n, dtype=bool)
-    shell = np.zeros(g.n, dtype=np.int64)
+    stage = np.zeros(g.n)
     order = np.empty(g.n, dtype=np.int64)
-    done, k = 0, 0
+    done, m = 0, 0.0
     frontier = order[:0]
     while done < g.n:
         if not frontier.size:
-            k = int(deg[alive].min())
-            frontier = np.flatnonzero(alive & (deg <= k))
+            m = key[alive].min()
+            frontier = np.flatnonzero(alive & (key <= m))
         alive[frontier] = False
-        shell[frontier] = k
+        stage[frontier] = m
         order[done:done + frontier.size] = frontier
         done += frontier.size
         # the removed rows' entries, gathered in one index array
@@ -81,8 +82,18 @@ def k_shell(g: Graph) -> DecompositionResult:
         heads, counts = nbrs[at], arcs[at]
         live = alive[heads]
         touched, which = np.unique(heads[live], return_inverse=True)
-        deg[touched] -= np.bincount(which, counts[live]).astype(np.int64)
-        frontier = touched[deg[touched] <= k]
+        residual[touched] -= np.bincount(which, counts[live]).astype(np.int64)
+        key[touched] = residual[touched] + \
+            lam * (degree[touched] - residual[touched])
+        frontier = touched[key[touched] <= m]
+    return order, stage
+
+
+def k_shell(g: Graph) -> DecompositionResult:
+    """Iterative minimum-degree pruning (Batagelj & Zaversnik): the
+    lambda = 0 peel; directed graphs use total degree."""
+    order, stage = _peel(g, 0.0)
+    shell = stage.astype(np.int64)
     return DecompositionResult(shell.tolist(),
                                list(zip(order.tolist(), shell[order].tolist())))
 
@@ -95,40 +106,14 @@ def mixed_degree_decomposition(g: Graph,
     """
     if not 0.0 <= lambda_mdd <= 1.0:
         raise GraphInputError("lambda_mdd must lie in [0,1]")
-    n = g.n
-    k_r = g.degrees()
-    k_e = [0] * n
-    op = _total_degree_operator(g)
-    ptr, nbrs, arcs = (x.tolist() for x in (op.indptr, op.indices, op.data))
-    alive = [True] * n
-    score = [0.0] * n
-    remaining = n
-    while remaining:
-        mixed = [k_r[v] + lambda_mdd * k_e[v] for v in range(n)]
-        m_stage = min(mixed[v] for v in range(n) if alive[v])
-        queue = deque(v for v in range(n)
-                      if alive[v] and mixed[v] <= m_stage)
-        while queue:
-            v = queue.popleft()
-            if not alive[v]:
-                continue
-            alive[v] = False
-            remaining -= 1
-            score[v] = m_stage
-            for u, c in zip(nbrs[ptr[v]:ptr[v + 1]], arcs[ptr[v]:ptr[v + 1]]):
-                if alive[u]:
-                    k_r[u] -= c
-                    k_e[u] += c
-                    if k_r[u] + lambda_mdd * k_e[u] <= m_stage:
-                        queue.append(u)
-    return score_vector("mixed-degree", score, {"lambda_mdd": lambda_mdd})
+    return score_vector("mixed-degree", _peel(g, lambda_mdd)[1],
+                        {"lambda_mdd": lambda_mdd})
 
 
 def coreness_family(g: Graph, variant: str = "nc") -> ScoreVector:
     """Neighborhood coreness: sum of neighbor shell indices (nc) or of
     neighbor nc values (nc-plus)."""
-    a = g.adjacency(weighted=False)
-    nbr = (a + a.T).sign()      # neighbor sets, direction ignored
+    nbr = g.undirected_adjacency
     nc = nbr @ np.array(k_shell(g).shell_index, dtype=float)
     if variant == "nc":
         return score_vector("nc", nc)

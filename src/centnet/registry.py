@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import globalmetrics as gm
 from . import graphmetrics as gr
@@ -148,9 +148,11 @@ GRAPH_METRICS: dict[str, object] = {
 
 GROUP_STRATEGIES: dict[str, object] = {
     "degree-distance": lambda g, b, gp: gs.degree_distance(
-        g, _with_budget(gp, b), "plain"),
-    "fidd": lambda g, b, gp: gs.degree_distance(g, _with_budget(gp, b), "fidd"),
-    "sidd": lambda g, b, gp: gs.degree_distance(g, _with_budget(gp, b), "sidd"),
+        g, replace(gp, budget=b), "plain"),
+    "fidd": lambda g, b, gp: gs.degree_distance(
+        g, replace(gp, budget=b), "fidd"),
+    "sidd": lambda g, b, gp: gs.degree_distance(
+        g, replace(gp, budget=b), "sidd"),
     "single-discount": lambda g, b, gp: gs.single_discount(g, b),
     "degree-discount": lambda g, b, gp: gs.degree_discount(g, b, gp.p),
     "degree-punishment": lambda g, b, gp: gs.degree_punishment(
@@ -158,12 +160,6 @@ GROUP_STRATEGIES: dict[str, object] = {
     "collective-influence": lambda g, b, gp: gs.collective_influence(
         g, budget=b, ell=gp.ell),
 }
-
-
-def _with_budget(gp: GroupSelectParams, budget: int) -> GroupSelectParams:
-    return GroupSelectParams(budget=budget, t_td=gp.t_td, theta=gp.theta,
-                             beta_inf=gp.beta_inf, p=gp.p, omega=gp.omega,
-                             r=gp.r, ell=gp.ell)
 
 
 def point_metric_ids(include_capped: bool = True) -> list[str]:

@@ -998,3 +998,145 @@ def si_spread_scores(g, params):
                 frontier = new
             totals[seed] += len(infected) / n
     return [t / params.si_runs for t in totals]
+
+
+# -- pruning sweeps and vertex cuts -------------------------------------------
+#
+# The loops that preceded iterative._peel and the csgraph max flow of
+# graphmetrics._split_max_flow, as their reference.
+
+
+def total_degree_rows(g):
+    """Row v: (u, arcs between v and u) over v's neighbours u in id
+    order, direction ignored, so a reciprocal pair counts twice."""
+    rows = []
+    for v in range(g.n):
+        count = {}
+        for u, _ in g.adj[v]:
+            count[u] = count.get(u, 0) + 1
+        if g.directed:
+            for u, _ in g.reversed.adj[v]:
+                count[u] = count.get(u, 0) + 1
+        rows.append(sorted(count.items()))
+    return rows
+
+
+def k_shell_rounds(g):
+    """(shell index, removal order) of the frontier peel: each round
+    removes, in id order, every live node of residual degree <= k; k
+    rises to the least live degree when a round finds nobody."""
+    n = g.n
+    rows = total_degree_rows(g)
+    deg = [sum(c for _, c in row) for row in rows]
+    alive = [True] * n
+    shell = [0] * n
+    order = []
+    k = 0
+    frontier = []
+    while len(order) < n:
+        if not frontier:
+            k = min(deg[v] for v in range(n) if alive[v])
+            frontier = [v for v in range(n) if alive[v] and deg[v] <= k]
+        for v in frontier:
+            alive[v] = False
+            shell[v] = k
+            order.append((v, k))
+        touched = set()
+        for v in frontier:
+            for u, c in rows[v]:
+                if alive[u]:
+                    deg[u] -= c
+                    touched.add(u)
+        frontier = sorted(u for u in touched if deg[u] <= k)
+    return shell, order
+
+
+def mixed_degree_decomposition(g, lam):
+    """Stage of each node under pruning by residual + lam * exhausted
+    degree, one queue per stage."""
+    n = g.n
+    rows = total_degree_rows(g)
+    k_r = [sum(c for _, c in row) for row in rows]
+    k_e = [0] * n
+    alive = [True] * n
+    score = [0.0] * n
+    remaining = n
+    while remaining:
+        mixed = [k_r[v] + lam * k_e[v] for v in range(n)]
+        m_stage = min(mixed[v] for v in range(n) if alive[v])
+        queue = deque(v for v in range(n)
+                      if alive[v] and mixed[v] <= m_stage)
+        while queue:
+            v = queue.popleft()
+            if not alive[v]:
+                continue
+            alive[v] = False
+            remaining -= 1
+            score[v] = m_stage
+            for u, c in rows[v]:
+                if alive[u]:
+                    k_r[u] -= c
+                    k_e[u] += c
+                    if k_r[u] + lam * k_e[u] <= m_stage:
+                        queue.append(u)
+    return score
+
+
+def split_max_flow(n, arcs, s, t, forbidden):
+    """(flow value, vertex cut) of unit vertex capacities by node
+    splitting and Edmonds-Karp: v_in = 2v, v_out = 2v + 1 joined by a
+    capacity-1 arc (n + 1 at s and t), each graph arc of capacity n + 1,
+    `forbidden` nodes left out; the cut is the nodes whose v_in the
+    residual reaches from 2s and whose v_out it does not."""
+    big = n + 1
+    cap = {}
+    adj = {}
+
+    def add(a, b, c):
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), cap.get((b, a), 0))
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+
+    for v in range(n):
+        if v in forbidden:
+            continue
+        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
+    for u, v in arcs:
+        if u in forbidden or v in forbidden:
+            continue
+        add(2 * u + 1, 2 * v, big)
+
+    flow = {}
+    src, dst = 2 * s, 2 * t + 1
+    value = 0
+    while True:
+        prev = {src: src}
+        q = deque([src])
+        while q and dst not in prev:
+            a = q.popleft()
+            for b in sorted(adj.get(a, ())):
+                if b not in prev and \
+                        cap.get((a, b), 0) - flow.get((a, b), 0) > 0:
+                    prev[b] = a
+                    q.append(b)
+        if dst not in prev:
+            break
+        b = dst
+        while b != src:
+            a = prev[b]
+            flow[(a, b)] = flow.get((a, b), 0) + 1
+            flow[(b, a)] = flow.get((b, a), 0) - 1
+            b = a
+        value += 1
+    side = {src}
+    q = deque([src])
+    while q:
+        a = q.popleft()
+        for b in adj.get(a, ()):
+            if b not in side and cap.get((a, b), 0) - flow.get((a, b), 0) > 0:
+                side.add(b)
+                q.append(b)
+    cut = {v for v in range(n)
+           if v not in forbidden and 2 * v in side and 2 * v + 1 not in side}
+    return value, cut

@@ -1,4 +1,7 @@
-"""k-shell index on seeded graphs (n = 300) against networkx.core_number.
+"""k-shell index on seeded graphs (n = 300) against networkx.core_number,
+and the peel behind it against its loops in `oracles`: the k-shell
+removal order round by round, and mixed-degree decomposition at several
+lambda.
 
 networkx counts a directed node's degree as in + out, so a reciprocal
 pair of arcs counts twice, as k_shell does. The variants: Barabasi-Albert
@@ -12,12 +15,14 @@ import random
 import networkx as nx
 import pytest
 
+import oracles
 from _synth import ba_edges, er_edges
 from centnet import build_graph
-from centnet.iterative import k_shell
+from centnet.iterative import k_shell, mixed_degree_decomposition
 
 N = 300
 SEEDS = range(5)
+KINDS = ["ba", "directed", "union", "er", "er-directed"]
 
 
 def _variant(kind, seed):
@@ -67,8 +72,7 @@ def _check(g, want):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kind", ["ba", "directed", "union", "er",
-                                  "er-directed"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_matches_core_number(kind, seed):
     edges, directed = _variant(kind, 100 + seed)
     g = build_graph(edges, directed=directed, isolated=range(N))
@@ -92,3 +96,23 @@ def test_long_path():
     edges = [(v, v + 1) for v in range(n - 1)]
     g = build_graph(edges, isolated=range(n))
     _check(g, [1] * n)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_removal_order_matches_the_rounds(kind, seed):
+    edges, directed = _variant(kind, 100 + seed)
+    g = build_graph(edges, directed=directed, isolated=range(N))
+    shell, order = oracles.k_shell_rounds(g)
+    got = k_shell(g)
+    assert got.shell_index == shell
+    assert got.removal_order == order
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_mixed_degree_matches_the_loop(kind, lam):
+    edges, directed = _variant(kind, 100)
+    g = build_graph(edges, directed=directed, isolated=range(N))
+    assert list(mixed_degree_decomposition(g, lam).values) == \
+        oracles.mixed_degree_decomposition(g, lam)

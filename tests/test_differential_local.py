@@ -24,6 +24,7 @@ from centnet.globalmetrics import (
     current_flow_betweenness,
     current_flow_closeness,
     generalized_weighted_family,
+    information_centrality,
     weight_neighborhood,
 )
 from centnet.graph import graph_from_arcs
@@ -140,12 +141,19 @@ def test_directed_assortativity(mode, x, y):
 @pytest.mark.parametrize("kind", UNDIRECTED)
 def test_current_flow(kind):
     """Each component against networkx on its subgraph: betweenness as
-    it is, closeness times the component's size."""
+    it is, closeness times the component's size; information on the
+    connected variants, times n."""
     g, h = GRAPHS[kind]
     split = kind == "union"
     if split:
         with pytest.raises(UnsupportedGraphError):
             current_flow_betweenness(g)
+        with pytest.raises(UnsupportedGraphError):
+            information_centrality(g)
+    else:
+        want = nx.information_centrality(h, weight="weight")
+        _close(information_centrality(g).values,
+               [N * want[v] for v in range(N)])
     cfb = current_flow_betweenness(g, per_component=split).values
     cfc = current_flow_closeness(g, per_component=split).values
     for nodes, sub in _component_graphs(h):

@@ -350,6 +350,15 @@ class TestGeneralizedWeighted:
         got = generalized_weighted_family(g, "gdsp-degree", 0.5).values
         assert got[0] == pytest.approx((2.0 ** 0.5) * (5.0 ** 0.5))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_gdsp_degree_isolated_scores_zero(self, alpha, directed):
+        # k^(1-alpha) s^alpha -> 0 as k -> 0, since s <= k * max weight
+        g = build_graph([(0, 1, 2.0)], directed=directed, isolated=[2])
+        got = generalized_weighted_family(g, "gdsp-degree", alpha).values
+        assert got[2] == 0.0
+        assert got[0] == pytest.approx(2.0 ** alpha)
+
 
 class TestWeightNeighborhood:
     def test_alpha0_degree_benchmark_p3(self, p3):
