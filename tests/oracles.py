@@ -1140,3 +1140,115 @@ def split_max_flow(n, arcs, s, t, forbidden):
     cut = {v for v in range(n)
            if v not in forbidden and 2 * v in side and 2 * v + 1 not in side}
     return value, cut
+
+
+# -- max flow, flow betweenness and delta-hyperbolicity -----------------------
+#
+# The loops that preceded the csgraph max flow of graph.max_flow and the
+# distance-array form of graphmetrics.delta_hyperbolicity, as their
+# reference.
+
+
+def max_flow(g, s, t):
+    """(value, throughflow, edge_flow) of unit-capacity Edmonds-Karp whose
+    BFS scans residual neighbours in ascending id order: throughflow[v]
+    is the positive flow into v (the value at s and t), edge_flow maps
+    each arc (u, v) of positive flow to it."""
+    n = g.n
+    capacity = {(u, v): 1 for u in range(n) for v, _ in g.adj[u]}
+    residual_nbrs = [
+        sorted({u for u, _ in g.adj[v]} | {u for u, _ in g.reversed.adj[v]})
+        for v in range(n)]
+    flow = {}
+    value = 0
+    while True:
+        prev = [-1] * n
+        prev[s] = s
+        q = deque([s])
+        while q and prev[t] < 0:
+            v = q.popleft()
+            for u in residual_nbrs[v]:
+                if prev[u] < 0 and \
+                        capacity.get((v, u), 0) - flow.get((v, u), 0) > 0:
+                    prev[u] = v
+                    q.append(u)
+        if prev[t] < 0:
+            break
+        v = t
+        while v != s:
+            u = prev[v]
+            flow[(u, v)] = flow.get((u, v), 0) + 1
+            flow[(v, u)] = flow.get((v, u), 0) - 1
+            v = u
+        value += 1
+    through = [0.0] * n
+    for (u, v), f in flow.items():
+        if f > 0:
+            through[v] += f
+    through[s] = float(value)
+    through[t] = float(value)
+    return value, through, {k: f for k, f in flow.items() if f > 0}
+
+
+def flow_betweenness(g, normalized=False, pair_distance_cap=None):
+    """(scores, skipped pairs): the throughflow of `max_flow` summed per
+    node over every pair, unordered (lower id as source) when
+    undirected, divided by the pair's flow value when `normalized`; with
+    a cap, only pairs within that many hops, the others counted."""
+    n = g.n
+    acc = [0.0] * n
+    skipped = 0
+    for s in range(n):
+        targets = [t for t in range(n) if t != s]
+        if pair_distance_cap is not None:
+            dist = single_source(g, s, float(pair_distance_cap))[0]
+            targets = [t for t in targets if dist[t] < INF]
+            skipped += (n - 1) - len(targets)
+        if not g.directed:
+            targets = [t for t in targets if t > s]
+        for t in targets:
+            value, through, _ = max_flow(g, s, t)
+            if value == 0:
+                continue
+            for v in range(n):
+                if v != s and v != t:
+                    acc[v] += through[v] / value if normalized else through[v]
+    return acc, skipped
+
+
+def delta_hyperbolicity(dist, sample_count, rng_seed):
+    """(max delta, mean delta, mean delta / shortest side, triples) over
+    the node triples of the distance rows `dist`: all of them when
+    `sample_count` reaches their number, else `sample_count` sorted
+    draws of random.Random(rng_seed).sample."""
+    n = len(dist)
+    total = n * (n - 1) * (n - 2) // 6
+    if sample_count >= total:
+        triples = list(combinations(range(n), 3))
+    else:
+        rng = random.Random(rng_seed)
+        triples = [tuple(sorted(rng.sample(range(n), 3)))
+                   for _ in range(sample_count)]
+
+    def geodesic_nodes(u, v):
+        duv = dist[u][v]
+        return [w for w in range(n) if dist[u][w] + dist[w][v] == duv]
+
+    deltas = []
+    ratios = []
+    for i, j, k in triples:
+        sides = [geodesic_nodes(i, j), geodesic_nodes(i, k),
+                 geodesic_nodes(j, k)]
+        best = INF
+        for m in range(n):
+            dm = dist[m]
+            worst = max(min(dm[w] for w in side) for side in sides)
+            if worst < best:
+                best = worst
+                if best == 0:
+                    break
+        ell = min(dist[i][j], dist[i][k], dist[j][k])
+        deltas.append(best)
+        ratios.append(best / ell)
+    return (max(deltas), sum(deltas) / len(deltas),
+            sum(ratios) / len(ratios), len(triples))
