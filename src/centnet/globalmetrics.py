@@ -117,35 +117,31 @@ def flow_betweenness(g: Graph, normalized: bool = False,
     graphs (Freeman pair convention, like betweenness), ordered pairs on
     directed graphs.
 
-    The deterministic augmenting order of graph max flow defines the
-    flow decomposition; on undirected graphs the lower node id acts as
-    the source. `pair_distance_cap` restricts to pairs within that many
-    hops (the tractability device used for large graphs).
+    Each pair's unit-capacity max flow comes from csgraph's Edmonds-Karp
+    (`graph.max_flow`), whose augmenting order defines the flow
+    decomposition; on undirected graphs the lower node id acts as the
+    source. A pair with no path carries no flow, so the sinks of a
+    source are the nodes its distance row reaches. `pair_distance_cap`
+    restricts to pairs within that many hops (the tractability device
+    used for large graphs); `skipped_pairs` counts the others.
     """
     n = g.n
-    acc = [0.0] * n
+    cap = None if pair_distance_cap is None else float(pair_distance_cap)
+    acc = np.zeros(n)
     skipped = 0
-    for s in range(n):
-        reach = None
-        if pair_distance_cap is not None:
-            d = shortest_paths(g, s, cap=float(pair_distance_cap)).dist
-            reach = [t for t in range(n) if t != s and d[t] < INF]
-            skipped += (n - 1) - len(reach)
-        targets = reach if reach is not None else \
-            [t for t in range(n) if t != s]
-        if not g.directed:
-            targets = [t for t in targets if t > s]
-        for t in targets:
-            res = max_flow(g, s, t)
-            if res.value == 0:
-                continue
-            for v in range(n):
-                if v == s or v == t:
-                    continue
-                contrib = res.throughflow[v]
-                if normalized:
-                    contrib /= res.value
-                acc[v] += contrib
+    for block in traverse(g, range(n), cap):
+        for s, dist in zip(block.sources.tolist(), block.dist.T):
+            reach = dist < INF
+            reach[s] = False
+            if cap is not None:
+                skipped += n - 1 - int(np.count_nonzero(reach))
+            if not g.directed:
+                reach[:s] = False
+            for t in np.flatnonzero(reach).tolist():
+                res = max_flow(g, s, t)
+                through = np.array(res.throughflow)
+                through[[s, t]] = 0.0
+                acc += through / res.value if normalized else through
     sv = score_vector("flow-betweenness", acc,
                       {"normalized": normalized,
                        "pair_distance_cap": pair_distance_cap})

@@ -2,8 +2,8 @@
 
 Everything downstream (metric families, group selection, attack
 simulation) builds on the primitives here: the batched shortest-path
-engine, connected components, unit-capacity max flow with a
-deterministic augmenting order, and the linear-algebra layer.
+engine, connected components, unit-capacity max flow on csgraph's
+Edmonds-Karp, and the linear-algebra layer.
 
 A `Graph` is read-only compressed rows (CSR arrays) of out- and
 in-neighbours. `build_graph` interns the labels in one dict pass and
@@ -23,7 +23,8 @@ path counts and the backward sweep into sparse triangular solves, at a
 cost that does not grow with the depth. Both give distances and float64
 path counts (sigma) as (n, b) arrays, and one backward sweep over the
 DAG that Brandes dependencies and Goh's load reduce over;
-`shortest_paths` and `all_distances` are calls of it. `fixed_point` is
+`shortest_paths` and `all_distances` (a dense array, behind
+`require_dense`) are calls of it. `fixed_point` is
 the one loop that iterates a step map until successive iterates agree
 in the sup norm; `power_iteration` runs it with an L2-normalising step.
 Dense solves and eigendecompositions pass `require_dense` before they
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -43,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra, \
+    maximum_flow
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import (
@@ -216,6 +217,15 @@ class Graph:
         ones.flags.writeable = False
         return a, scipy.sparse.csr_matrix((ones, rows.indices, rows.indptr),
                                           shape=shape)
+
+    @cached_property
+    def _unit_capacities(self) -> scipy.sparse.csr_array:
+        """int32 operator with capacity 1 on every arc, for csgraph's
+        max flow, which needs index arrays it may write."""
+        rows = self.out_csr
+        return scipy.sparse.csr_array(
+            (np.ones(rows.indices.size, dtype=np.int32),
+             rows.indices.copy(), rows.indptr.copy()), shape=(self.n, self.n))
 
     @cached_property
     def undirected_adjacency(self) -> scipy.sparse.csr_matrix:
@@ -613,10 +623,16 @@ def shortest_paths(g: Graph, source: int, cap: float | None = None,
     return ShortestPaths(source, next(traverse(g, [source], cap)))
 
 
-def all_distances(g: Graph, cap: float | None = None) -> list[list[float]]:
-    """Distance rows from every source (out-distances when directed)."""
-    return [row for t in traverse(g, range(g.n), cap)
-            for row in t.dist.T.tolist()]
+def all_distances(g: Graph, cap: float | None = None) -> np.ndarray:
+    """Read-only (n, n) float64 distances, row s from source s
+    (out-distances when directed); inf where unreachable or beyond
+    `cap`."""
+    require_dense(g.n, "all-pairs distances")
+    dist = np.empty((g.n, g.n))
+    for t in traverse(g, range(g.n), cap):
+        dist[t.sources] = t.dist.T
+    dist.flags.writeable = False
+    return dist
 
 
 # -- connected components ----------------------------------------------
@@ -692,51 +708,28 @@ class MaxFlowResult:
 
 
 def max_flow(g: Graph, s: int, t: int) -> MaxFlowResult:
-    """Edmonds-Karp on unit capacities with ascending-node-id BFS.
+    """Unit-capacity max flow from s to t by csgraph's Edmonds-Karp.
 
-    The augmenting order is deterministic, so the per-node throughflow
-    of the returned decomposition is reproducible. Undirected edges act
-    as capacity 1 in each direction.
+    Every arc has capacity 1; an undirected edge is an arc each way.
+    `throughflow[v]` is the positive flow into v (the value at s and t)
+    and `edge_flow` the arcs of positive flow. The decomposition equals
+    that of the Edmonds-Karp loop whose BFS scans residual neighbours in
+    ascending id order (`oracles.max_flow` in the tests): csgraph's BFS
+    scans its sorted rows in that order, which scipy does not document,
+    so the tests comparing the two pin it.
     """
     if s == t:
         raise GraphInputError("max_flow requires s != t")
-    n = g.n
-    capacity = dict.fromkeys(zip(g.arc_tails.tolist(),
-                                 g.out_csr.indices.tolist()), 1)
-    residual_nbrs = [g.all_neighbors(v) for v in range(n)]
-
-    flow: dict[tuple[int, int], int] = {}
-    value = 0
-    while True:
-        # BFS over the residual graph, neighbors in ascending id order
-        prev = [-1] * n
-        prev[s] = s
-        q = deque([s])
-        while q and prev[t] < 0:
-            v = q.popleft()
-            for u in residual_nbrs[v]:
-                if prev[u] < 0 and \
-                        capacity.get((v, u), 0) - flow.get((v, u), 0) > 0:
-                    prev[u] = v
-                    q.append(u)
-        if prev[t] < 0:
-            break
-        v = t
-        while v != s:
-            u = prev[v]
-            flow[(u, v)] = flow.get((u, v), 0) + 1
-            flow[(v, u)] = flow.get((v, u), 0) - 1
-            v = u
-        value += 1
-
-    through = [0.0] * n
-    for (u, v), f in flow.items():
-        if f > 0:
-            through[v] += f
-    through[s] = float(value)
-    through[t] = float(value)
-    edge_flow = {k: f for k, f in flow.items() if f > 0}
-    return MaxFlowResult(value, through, edge_flow)
+    res = maximum_flow(g._unit_capacities, s, t, method="edmonds_karp")
+    flow = res.flow
+    pos = flow.data > 0
+    heads, f = flow.indices[pos], flow.data[pos]
+    through = np.bincount(heads, weights=f, minlength=g.n)
+    through[[s, t]] = res.flow_value
+    tails = np.repeat(np.arange(g.n), np.diff(flow.indptr))[pos]
+    return MaxFlowResult(int(res.flow_value), through.tolist(),
+                         dict(zip(zip(tails.tolist(), heads.tolist()),
+                                  f.tolist())))
 
 
 # -- spectral / linear substrate -----------------------------------------

@@ -178,15 +178,16 @@ def _max_kplex(g: Graph, k: int) -> tuple:
     return tuple(sorted(best))
 
 
-def _split_max_flow(n: int, arcs: set, s: int, t: int,
-                    forbidden: set) -> tuple[int, set]:
-    """Unit-vertex-capacity max flow via node splitting.
+def _split_network(n: int, arcs: set, forbidden: set):
+    """Unit-vertex-capacity max flow via node splitting, on a network
+    built once: returns flow(s, t) -> (flow value, min vertex cut).
 
-    Returns (flow value, min vertex cut). Node v becomes v_in = 2v,
-    v_out = 2v+1 with a capacity-1 internal arc; graph arcs get a large
-    capacity. `forbidden` nodes are excluded entirely. The cut is the
-    nodes whose v_in the positive residual reaches from s_in and whose
-    v_out it does not; every maximum flow leaves the same reachable set.
+    Node v becomes v_in = 2v, v_out = 2v+1 with a capacity-1 internal
+    arc; graph arcs get a large capacity. `forbidden` nodes are excluded
+    entirely. A call raises the internal arcs of s and t to the large
+    capacity and restores them afterwards. The cut is the nodes whose
+    v_in the positive residual reaches from s_in and whose v_out it does
+    not; every maximum flow leaves the same reachable set.
     """
     big = n + 1
     keep = np.ones(n, dtype=bool)
@@ -194,30 +195,37 @@ def _split_max_flow(n: int, arcs: set, s: int, t: int,
     inner = np.flatnonzero(keep)
     uv = np.array(list(arcs), dtype=np.int64).reshape(-1, 2)
     uv = uv[keep[uv[:, 0]] & keep[uv[:, 1]]]
-    cap = np.ones(inner.size, dtype=np.int32)
-    cap[np.isin(inner, (s, t))] = big
+    cap = np.full(inner.size + len(uv), big, dtype=np.int32)
+    cap[:inner.size] = 1
     net = scipy.sparse.csr_array(
-        (np.concatenate([cap, np.full(len(uv), big, dtype=np.int32)]),
-         (np.concatenate([2 * inner, 2 * uv[:, 0] + 1]),
-          np.concatenate([2 * inner + 1, 2 * uv[:, 1]]))),
+        (cap, (np.concatenate([2 * inner, 2 * uv[:, 0] + 1]),
+               np.concatenate([2 * inner + 1, 2 * uv[:, 1]]))),
         shape=(2 * n, 2 * n))
-    res = maximum_flow(net, 2 * s, 2 * t + 1)
-    side = np.zeros(2 * n, dtype=bool)
-    side[breadth_first_order(net - res.flow > 0, 2 * s,
-                             return_predecessors=False)] = True
-    cut = inner[side[2 * inner] & ~side[2 * inner + 1]]
-    return int(res.flow_value), set(cut.tolist())
+
+    def flow(s: int, t: int) -> tuple[int, set]:
+        # row v_in holds v's internal arc and nothing else
+        ends = net.indptr[[2 * v for v in (s, t) if keep[v]]]
+        net.data[ends] = big
+        res = maximum_flow(net, 2 * s, 2 * t + 1)
+        side = np.zeros(2 * n, dtype=bool)
+        side[breadth_first_order(net - res.flow > 0, 2 * s,
+                                 return_predecessors=False)] = True
+        net.data[ends] = 1
+        cut = inner[side[2 * inner] & ~side[2 * inner + 1]]
+        return int(res.flow_value), set(cut.tolist())
+
+    return flow
 
 
 def _vertex_connectivity(g: Graph, nodes: list[int]) -> tuple[int, set]:
     """(kappa, witness min cut) of the induced subgraph on `nodes`."""
     node_set = set(nodes)
     nbr = {v: set(g.all_neighbors(v)) & node_set for v in nodes}
-    arcs = {(u, v) for u in nodes for v in nbr[u]}
     k = len(nodes)
     if all(len(nbr[v]) == k - 1 for v in nodes):
         return k - 1, set()
-    forbidden = set(range(g.n)) - node_set
+    flow = _split_network(g.n, {(u, v) for u in nodes for v in nbr[u]},
+                          set(range(g.n)) - node_set)
     v0 = min(nodes, key=lambda v: (len(nbr[v]), v))
     best = len(nbr[v0])
     best_cut = set(nbr[v0])
@@ -225,7 +233,7 @@ def _vertex_connectivity(g: Graph, nodes: list[int]) -> tuple[int, set]:
     nb = sorted(nbr[v0])
     pairs += [(a, b) for a, b in combinations(nb, 2) if b not in nbr[a]]
     for s, t in pairs:
-        val, cut = _split_max_flow(g.n, arcs, s, t, forbidden)
+        val, cut = flow(s, t)
         if val < best:
             best, best_cut = val, cut
     return best, best_cut
@@ -369,7 +377,8 @@ def delta_hyperbolicity(g: Graph, sample_count: int = 1000,
 
     For each triple, delta is the smallest worst-case distance any node
     has to the three geodesic sets. Reports max delta as the value; the
-    mean delta and mean delta / (min side length) ride in details.
+    mean delta and mean delta / (min side length) ride in details. Reads
+    the dense distance array, so n is capped by `require_dense`.
     """
     if sample_count < 1:
         raise GraphInputError("sample_count must be >= 1")
@@ -390,24 +399,14 @@ def delta_hyperbolicity(g: Graph, sample_count: int = 1000,
         triples = [tuple(sorted(rng.sample(range(n), 3)))
                    for _ in range(sample_count)]
 
-    def geodesic_nodes(u, v):
-        duv = dist[u][v]
-        return [w for w in range(n) if dist[u][w] + dist[w][v] == duv]
-
     deltas = []
     ratios = []
     for i, j, k in triples:
-        sides = [geodesic_nodes(i, j), geodesic_nodes(i, k),
-                 geodesic_nodes(j, k)]
-        best = INF
-        for m in range(n):
-            dm = dist[m]
-            worst = max(min(dm[w] for w in side) for side in sides)
-            if worst < best:
-                best = worst
-                if best == 0:
-                    break
-        ell = min(dist[i][j], dist[i][k], dist[j][k])
+        # each node's distance to the nearest node on a side's geodesics
+        near = [dist[:, dist[a] + dist[:, b] == dist[a, b]].min(axis=1)
+                for a, b in ((i, j), (i, k), (j, k))]
+        best = float(np.maximum.reduce(near).min())
+        ell = float(min(dist[i, j], dist[i, k], dist[j, k]))
         deltas.append(best)
         ratios.append(best / ell)
     return GraphMetricValue(

@@ -1003,7 +1003,7 @@ def si_spread_scores(g, params):
 # -- pruning sweeps and vertex cuts -------------------------------------------
 #
 # The loops that preceded iterative._peel and the csgraph max flow of
-# graphmetrics._split_max_flow, as their reference.
+# graphmetrics._split_network, as their reference.
 
 
 def total_degree_rows(g):

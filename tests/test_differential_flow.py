@@ -24,7 +24,7 @@ import pytest
 
 import oracles
 from _synth import ba_edges, er_edges
-from centnet import build_graph
+from centnet import build_graph, components
 from centnet.globalmetrics import flow_betweenness
 from centnet.graph import max_flow
 from centnet.graphmetrics import delta_hyperbolicity
@@ -65,7 +65,6 @@ def _graph(kind, n, seed, weights=None):
 
 
 def test_variants_are_what_they_claim():
-    from centnet import components
     assert components(_graph("ba", 80, 1)).giant_size == 80
     assert len(components(_graph("union", 80, 1)).sizes) == 2
     er = _graph("er", 80, 1)
@@ -77,11 +76,10 @@ def test_variants_are_what_they_claim():
     assert components(oriented, "strong").giant_size < 80
 
 
-@pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("kind", KINDS)
-def test_max_flow_matches_the_loop(kind, seed):
+def test_max_flow_matches_the_loop(kind):
     n = 60 if kind == "er" else 80
-    g = _graph(kind, n, 20 + seed)
+    g = _graph(kind, n, 20)
     for s in range(n):
         for t in range(n):
             if s == t or (t < s and not g.directed):
@@ -138,7 +136,6 @@ def test_delta_hyperbolicity_matches_the_loop(variant):
 
 def _connected_er(n, seed, weights):
     """The first connected ER draw at p = 0.2 from `seed` on."""
-    from centnet import components
     for k in range(seed, seed + 100):
         rng = random.Random(k)
         g = build_graph([(u, v, rng.choice(weights))

@@ -17,9 +17,11 @@ from centnet import (
     shortest_paths,
     solve_linear,
 )
-from centnet import iterative
+from centnet import graph, iterative
 from centnet.globalmetrics import betweenness_family, information_centrality
-from centnet.graph import DENSE_CAP, spectral_radius, traverse
+from centnet.graph import DENSE_CAP, all_distances, spectral_radius, \
+    traverse
+from centnet.graphmetrics import delta_hyperbolicity
 from centnet.iterative import eigen_family, subgraph_centrality
 from conftest import complete_graph, path_graph, star_graph
 from _synth import er_graph
@@ -395,6 +397,16 @@ class TestDenseCap:
                             directed=directed)
             with pytest.raises(SizeCapError):
                 eigen_family(g, "katz")
+
+    def test_distances_before_traversal(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("traversed past the cap")
+        monkeypatch.setattr(graph, "traverse", fail)
+        g = path_graph(self.big)
+        with pytest.raises(SizeCapError):
+            all_distances(g)
+        with pytest.raises(SizeCapError):
+            delta_hyperbolicity(g)
 
     def test_directed_spectral_radius(self):
         g = build_graph([(i, i + 1) for i in range(self.big - 1)],
