@@ -724,7 +724,8 @@ def max_flow(g: Graph, s: int, t: int) -> MaxFlowResult:
     flow = res.flow
     pos = flow.data > 0
     heads, f = flow.indices[pos], flow.data[pos]
-    through = np.bincount(heads, weights=f, minlength=g.n)
+    # float even when no arc carries flow: bincount of nothing is int
+    through = np.bincount(heads, weights=f, minlength=g.n).astype(float)
     through[[s, t]] = res.flow_value
     tails = np.repeat(np.arange(g.n), np.diff(flow.indptr))[pos]
     return MaxFlowResult(int(res.flow_value), through.tolist(),

@@ -253,7 +253,10 @@ class TestMaxFlow:
 
     def test_disconnected_zero(self):
         g = build_graph([(0, 1), (2, 3)])
-        assert max_flow(g, 0, 3).value == 0
+        res = max_flow(g, 0, 3)
+        assert res.value == 0
+        assert res.edge_flow == {}
+        assert [type(x) for x in res.throughflow] == [float] * 4
 
     def test_s_equals_t_error(self, p3):
         with pytest.raises(GraphInputError):
