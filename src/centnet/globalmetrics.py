@@ -119,7 +119,8 @@ def flow_betweenness(g: Graph, normalized: bool = False,
 
     Each pair's unit-capacity max flow comes from csgraph's Edmonds-Karp
     (`graph.max_flow`), whose augmenting order defines the flow
-    decomposition; on undirected graphs the lower node id acts as the
+    decomposition: that of an ascending-id BFS, an order scipy does not
+    document. On undirected graphs the lower node id acts as the
     source. A pair with no path carries no flow, so the sinks of a
     source are the nodes its distance row reaches. `pair_distance_cap`
     restricts to pairs within that many hops (the tractability device
