@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from centnet import build_graph  # noqa: E402
+from centnet import build_graph, graph  # noqa: E402
 
 
 def _atlas_connected():
@@ -48,6 +48,14 @@ def atlas_weighted(atlas_sample):
                     edges.append((v, u, round(rng.uniform(0.5, 3.0), 3)))
         out.append(build_graph(edges, isolated=range(g.n)))
     return out
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A block budget of 64 entries, so that on a few hundred nodes the
+    common-neighbour kernel, collective influence and `traverse` each cut
+    many blocks."""
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 64)
 
 
 def path_graph(k):

@@ -13,6 +13,7 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse
 
 INF = math.inf
 
@@ -818,7 +819,7 @@ def local_clustering(g):
 
 def clusterrank(g):
     cc = local_clustering(g)
-    return [10.0 ** (-cc[v]) * sum(g.out_degree(u) + 1
+    return [10.0 ** (-cc[v]) * sum(len(g.neighbors(u)) + 1
                                    for u in g.neighbors(v))
             for v in range(g.n)]
 
@@ -861,6 +862,37 @@ def redundancy(g):
                 m_rs = (w.get((r, s), 0.0) + w.get((s, r), 0.0)) / max_rt
                 total += p_vs * m_rs
         vals.append(total)
+    return vals
+
+
+def jaccard_aggregation(g):
+    """Contribution's operator, entry by entry: the weighted
+    in-aggregation operator (the adjacency when undirected) with each
+    entry (u, v) scaled by 1 - |N(u) & N(v)| / |N(u) | N(v)|, N the
+    neighbours with direction ignored."""
+    a = g.adjacency()
+    m = (a.T.tocsr() if g.directed else a).tocoo()
+    nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
+    jaccard = [len(nbr[u] & nbr[v]) / len(nbr[u] | nbr[v])
+               for u, v in zip(m.row.tolist(), m.col.tolist())]
+    return scipy.sparse.csr_matrix(
+        (m.data * (1.0 - np.array(jaccard)), (m.row, m.col)), shape=m.shape)
+
+
+def entropy(g, metric):
+    """Local entropy -sum d(u) ln d(u) and mapping entropy
+    -d(v) sum ln d(u), over the neighbours u of v with direction
+    ignored, d the total degree."""
+    deg = g.degrees()
+    vals = []
+    for v in range(g.n):
+        nbrs = g.all_neighbors(v)
+        if metric == "local-entropy":
+            vals.append(-sum(deg[u] * math.log(deg[u]) for u in nbrs
+                             if deg[u] > 0))
+        else:
+            vals.append(-deg[v] * sum(math.log(deg[u]) for u in nbrs
+                                      if deg[u] > 0))
     return vals
 
 
@@ -911,8 +943,8 @@ def reciprocity(g):
 def endpoint_series(g, mode):
     """(xs, ys): the excess degrees at the tail and head of every arc,
     row by row."""
-    indeg = [g.in_degree(v) for v in range(g.n)]
-    outdeg = [g.out_degree(v) for v in range(g.n)]
+    indeg = g.in_csr.degrees.tolist()
+    outdeg = g.out_csr.degrees.tolist()
     deg = g.degrees()
     kinds = {"undirected": (deg, deg), "directed-out-in": (outdeg, indeg),
              "in-in": (indeg, indeg), "out-out": (outdeg, outdeg)}

@@ -72,7 +72,7 @@ def test_variants_are_what_they_claim():
     oriented = _graph("oriented", 80, 1)
     assert oriented.directed
     assert any(u in oriented.neighbors(v) for v in range(80)
-               for u in oriented.in_neighbors(v))
+               for u in oriented.in_csr.row(v))
     assert components(oriented, "strong").giant_size < 80
 
 

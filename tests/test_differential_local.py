@@ -35,7 +35,7 @@ from centnet.graphmetrics import (
     reciprocity,
 )
 from centnet.local import clustering_family, degree_family, \
-    neighborhood_degree_family
+    entropy_family, neighborhood_degree_family
 
 N = 300
 REL = 1e-12
@@ -189,6 +189,26 @@ def test_redundancy_loop(kind):
         assert list(got) == oracles.redundancy(g)
     else:
         _close(got, oracles.redundancy(g))
+
+
+def _pendants():
+    """A draw of 290 nodes, a star of four leaves, a path of three
+    nodes, an edge and an isolated node: zero sums at the star's centre,
+    the edge's ends and the isolated node."""
+    edges = ba_edges(290, 3, 37) + [(290, 291), (290, 292), (290, 293),
+                                     (290, 294), (295, 296), (296, 297),
+                                     (298, 299)]
+    return build_graph(edges, isolated=range(N + 1))
+
+
+@pytest.mark.parametrize("metric", ["local-entropy", "mapping-entropy"])
+@pytest.mark.parametrize("kind", VARIANTS + ("pendants",))
+def test_entropy_loop(kind, metric):
+    """Bit for bit, the sign of each zero included."""
+    g = _pendants() if kind == "pendants" else GRAPHS[kind][0]
+    got = entropy_family(g, metric).values
+    assert [x.hex() for x in got] == \
+        [float(x).hex() for x in oracles.entropy(g, metric)]
 
 
 @pytest.mark.parametrize("kind", UNDIRECTED)

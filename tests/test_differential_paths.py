@@ -152,6 +152,13 @@ def test_load_matches_source_loop(case):
     _close(betweenness_family(g, "load").values, oracles.source_load(g))
 
 
+def test_load_in_small_blocks(case, small_blocks):
+    """One source per block, so every block takes the distance-ordered
+    sweep."""
+    g, _, _ = case
+    _close(betweenness_family(g, "load").values, oracles.source_load(g))
+
+
 def test_grid_sigma_beyond_float_precision():
     """Corner-to-corner geodesics of a 32 x 32 grid number C(62, 31),
     about 4.7e17, past the 2**53 up to which float64 counts exactly."""

@@ -125,6 +125,13 @@ def test_collective_influence(g, ell):
 
 
 @pytest.mark.parametrize("ell", [1, 2])
+def test_collective_influence_in_small_blocks(g, ell, small_blocks):
+    """Rows scored in blocks of one or a few rows give the same seeds."""
+    got = collective_influence(g, budget=BUDGET, ell=ell)
+    assert _triple(got) == oracles.collective_influence(g, BUDGET, ell)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
 def test_collective_influence_stopping_rule(g, ell):
     got = collective_influence(g, budget=None, ell=ell, stop_on_lambda=True)
     want = oracles.collective_influence(g, None, ell, stop_on_lambda=True)
