@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError
-from .graph import _BLOCK_ENTRIES, INF, Graph, shortest_paths
+from .graph import INF, Graph, cut_blocks, shortest_paths
 from .params import GroupSelectParams
 
 
@@ -239,17 +239,15 @@ class _Residual:
         """int64 CI of the alive `rows`. Row i of `ball` grows by one hop
         per product; the distance-ell frontier is the radius-ell ball
         less the radius ell - 1 one. A row's walks of length ell on `op`,
-        capped at n, bound its ball, and blocks of rows keep the bound's
-        sum near _BLOCK_ENTRIES."""
+        capped at n, bound its ball, and `cut_blocks` keeps the bound's sum
+        over a block of rows near _BLOCK_ENTRIES."""
         walks = np.ones(self.n, dtype=np.int64)
         for _ in range(ell):
             walks = np.minimum(self.op @ walks, self.n)
-        block = np.cumsum(walks[rows]) // _BLOCK_ENTRIES
         excess = self.deg - 1
         out = np.empty(len(rows), dtype=np.int64)
-        for part in np.split(np.arange(len(rows)),
-                             np.flatnonzero(np.diff(block)) + 1):
-            k = len(part)
+        for part in cut_blocks(walks[rows]):
+            k = part.stop - part.start
             ball = scipy.sparse.csr_matrix(
                 (np.ones(k, dtype=np.int64), rows[part], np.arange(k + 1)),
                 shape=(k, self.n))

@@ -22,6 +22,7 @@ import scipy.sparse
 from .errors import GraphInputError, UnsupportedGraphError
 from .graph import (
     Graph,
+    closed_wedges,
     fixed_point,
     power_iteration,
     require_dense,
@@ -133,7 +134,9 @@ def _aggregation(g: Graph, aggregate: str = "in", weighted: bool = True,
     Directed graphs aggregate over in-neighbors (the prestige reading);
     aggregate='out' flips to out-neighbors. `weighted=False` counts each
     arc once. `dissimilarity` scales each entry by the Jaccard
-    dissimilarity of the two endpoints' undirected neighborhoods.
+    dissimilarity of the two endpoints' undirected neighborhoods,
+    1 - common / (deg_u + deg_v - common), the common neighbours of
+    every arc counted by `closed_wedges`.
     """
     a = g.adjacency(weighted)
     if not g.directed or aggregate == "out":
@@ -143,13 +146,13 @@ def _aggregation(g: Graph, aggregate: str = "in", weighted: bool = True,
     else:
         raise GraphInputError(f"unknown aggregation {aggregate!r}")
     if dissimilarity:
-        nbr = [set(g.all_neighbors(v)) for v in range(g.n)]
-        m = m.tocoo()
-        jaccard = [len(nbr[u] & nbr[v]) / len(nbr[u] | nbr[v])
-                   for u, v in zip(m.row.tolist(), m.col.tolist())]
-        m = scipy.sparse.csr_matrix(
-            (m.data * (1.0 - np.array(jaccard)), (m.row, m.col)),
-            shape=m.shape)
+        # on the pattern of the undirected adjacency, which holds m's
+        sym = g.undirected_adjacency
+        deg = np.diff(sym.indptr)
+        common = np.bincount(closed_wedges(sym)[0], minlength=sym.nnz)
+        union = np.repeat(deg, deg) + deg[sym.indices] - common
+        m = m.multiply(scipy.sparse.csr_matrix(
+            (1.0 - common / union, sym.indices, sym.indptr), shape=m.shape))
     return m
 
 

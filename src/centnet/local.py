@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph, row_positions
+from .graph import Graph, closed_wedges
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -95,17 +95,19 @@ def neighborhood_degree_family(g: Graph, metric: str,
 
 def _linked_pairs(g: Graph) -> np.ndarray:
     """The ordered pairs (r, s) of v's out-neighbours with an arc r -> s,
-    for every v: the row sums of (A @ A) * A on the 0/1 adjacency. An
-    undirected graph counts each linked pair both ways."""
-    a = g.adjacency(False)
-    return np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    for every v: each arc (v, r) closes one such pair per common
+    out-neighbour s of v and r, so the count is one bincount of the arc
+    tails of `closed_wedges`. An undirected graph counts each linked
+    pair both ways."""
+    arc, _, _ = closed_wedges(g.adjacency(False))
+    return np.bincount(g.arc_tails[arc], minlength=g.n)
 
 
 def local_clustering(g: Graph) -> np.ndarray:
     """Per-node clustering coefficient; <2 (out-)neighbors scores 0.
 
-    Linked ordered pairs of out-neighbours over the k(k - 1) ordered
-    pairs, k the out-degree.
+    Linked ordered pairs of out-neighbours (`_linked_pairs`, an integer
+    count) over the k(k - 1) ordered pairs, k the out-degree.
     """
     k = g.out_csr.degrees
     return np.divide(_linked_pairs(g), k * (k - 1.0), out=np.zeros(g.n),
@@ -139,16 +141,8 @@ def _redundancy(g: Graph) -> np.ndarray:
     # p_vs = w_vs / (v's strength), the marginal tie strength, times
     # m_rs = w_rs / max w_rt over the common neighbours t of v and r
     heads, w = rows.indices, rows.weights
-    # every wedge v - r - t: the arc e = (v, r) and the position rt of
-    # (r, t); it closes a triangle when the key of (v, t) is among the
-    # sorted keys of the arcs, at position vt
-    e = np.repeat(np.arange(heads.size), rows.degrees[heads])
-    rt = row_positions(rows.indptr, heads)
-    keys = tails * g.n + heads
-    want = tails[e] * g.n + heads[rt]
-    vt = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    closed = keys[vt] == want
-    e, rt, vt = e[closed], rt[closed], vt[closed]
+    # every triangle (v, r, t) through the arc e = (v, r), t ascending
+    e, vt, rt = closed_wedges(g.adjacency(False))
     top = np.zeros(heads.size)
     np.maximum.at(top, e, w[rt])
     shared = np.bincount(e, w[vt] * w[rt], minlength=heads.size)
@@ -162,19 +156,21 @@ def _redundancy(g: Graph) -> np.ndarray:
 
 
 def entropy_family(g: Graph, metric: str) -> ScoreVector:
-    """Local entropy -sum d(u) ln d(u); mapping entropy -d(v) sum ln d(u)."""
+    """Local entropy -sum d(u) ln d(u); mapping entropy -d(v) sum ln d(u),
+    over the neighbours u of v with direction ignored, d the total
+    degree: row sums of `undirected_adjacency`, each adding its terms in
+    neighbour order. ln comes from math.log, whose last bit np.log does
+    not always match; an isolated node scores +0.0, a zero sum elsewhere
+    -0.0."""
     if metric not in ("local-entropy", "mapping-entropy"):
         raise GraphInputError(f"unknown entropy metric {metric!r}")
-    deg = g.degrees()
-    vals = []
-    for v in range(g.n):
-        nbrs = g.all_neighbors(v)
-        if metric == "local-entropy":
-            vals.append(-sum(deg[u] * math.log(deg[u]) for u in nbrs
-                             if deg[u] > 0))
-        else:
-            vals.append(-deg[v] * sum(math.log(deg[u]) for u in nbrs
-                                      if deg[u] > 0))
+    sym, deg = g.undirected_adjacency, g.degree_array
+    top = int(deg.max(initial=0))
+    ln = np.array([0.0] + [math.log(k) for k in range(1, top + 1)])[deg]
+    if metric == "local-entropy":
+        vals = np.where(deg > 0, -(sym @ (deg * ln)), 0.0)
+    else:
+        vals = -deg * (sym @ ln)
     return score_vector(metric, vals)
 
 

@@ -10,6 +10,7 @@ budget and at `small_blocks`, where the same inputs take many blocks.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ import pytest
 import oracles
 from _synth import ba_edges
 from centnet import build_graph
+from centnet.graph import closed_wedges
 from centnet.iterative import _aggregation
+from centnet.local import clustering_family, local_clustering
 
 N = 300
 KINDS = ("ba", "oriented", "union", "weighted")
@@ -79,3 +82,44 @@ def test_jaccard_aggregation_is_the_set_loop(kind, budget):
     g = GRAPHS[kind]
     _same_operator(_aggregation(g, dissimilarity=True),
                    oracles.jaccard_aggregation(g))
+
+
+@pytest.mark.parametrize("view", ["adjacency", "undirected"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_wedges_are_the_row_intersections(kind, view, budget):
+    """Per arc (v, r), one triple for each t in both rows, t ascending,
+    vt in v's row and rt in r's row, both at t."""
+    g = GRAPHS[kind]
+    a = g.adjacency() if view == "adjacency" else g.undirected_adjacency
+    arc, vt, rt = closed_wedges(a)
+    heads = a.indices
+    tails = np.repeat(np.arange(g.n), np.diff(a.indptr))
+    rows = [set(heads[a.indptr[v]:a.indptr[v + 1]].tolist())
+            for v in range(g.n)]
+    assert np.bincount(arc, minlength=a.nnz).tolist() == \
+        [len(rows[v] & rows[r]) for v, r in zip(tails.tolist(),
+                                                heads.tolist())]
+    assert np.array_equal(heads[vt], heads[rt])
+    assert np.array_equal(tails[vt], tails[arc])
+    assert np.array_equal(tails[rt], heads[arc])
+    assert np.all(np.diff(arc * g.n + heads[vt]) > 0)
+
+
+def test_clustering_and_redundancy_peaks():
+    """On BA n=2e4, neither clustering nor weighted redundancy holds the
+    product of the adjacency with itself or the list of open wedges:
+    each peaks below 20 MB of traced allocations."""
+    rng = random.Random(5)
+    edges = ba_edges(20000, 3, 1)
+    unit = build_graph(edges)
+    weighted = build_graph([(u, v, rng.uniform(0.5, 4.0)) for u, v in edges])
+    for g, run in ((unit, local_clustering),
+                   (weighted, lambda g: clustering_family(g, "redundancy"))):
+        g.adjacency(False), g.arc_tails     # cached before tracing
+        tracemalloc.start()
+        try:
+            run(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
