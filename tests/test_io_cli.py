@@ -223,6 +223,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "betweenness" in err and "closeness" in err
 
+    @pytest.mark.parametrize("name, value", [("omega", 0.5), ("r", 3)])
+    def test_selection_knob_is_not_a_metric_parameter(self, p3_file, capsys,
+                                                      name, value):
+        # GroupSelectParams owns omega and r; no point metric reads them
+        with pytest.raises(GraphInputError,
+                           match=rf"unknown metric parameter\(s\): {name}$"):
+            registry.compute_point_metric(build_graph([(0, 1)]), "degree",
+                                          {name: value})
+        rc = cli_mod.main(["centrality", p3_file, "--metric", "degree",
+                           "--param", f"{name}={value}"])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+
     def test_missing_file_exit1(self, capsys):
         assert cli_mod.main(["stats", "/does/not/exist.txt"]) == 1
 
