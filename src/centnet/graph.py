@@ -24,14 +24,10 @@ cost that does not grow with the depth. Both give distances and float64
 path counts (sigma) as (n, b) arrays, and one backward sweep over the
 DAG that Brandes dependencies and Goh's load reduce over;
 `shortest_paths` and `all_distances` (a dense array, behind
-`require_dense`) are calls of it.
-
-`closed_wedges` lists the common neighbours of the two ends of every
-arc; clustering, redundancy and contribution's Jaccard weights count
-them. It walks the shorter of the two rows, in blocks that `cut_blocks`
-cuts from `_BLOCK_ENTRIES`, the budget that also sizes traversal blocks
-and collective influence's row blocks.
-
+`require_dense`) are calls of it. `closed_wedges` lists the common
+neighbours of the two ends of every arc, which clustering, redundancy
+and contribution's Jaccard weights count; `cut_blocks` cuts its blocks,
+and collective influence's, from the budget that sizes traverse's.
 `fixed_point` is the one loop that iterates a step map until successive
 iterates agree in the sup norm; `power_iteration` runs it with an
 L2-normalising step. Dense solves and eigendecompositions pass
@@ -152,15 +148,6 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         return self.out_csr.row(v)
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return self.in_csr.row(v)
-
-    def out_degree(self, v: int) -> int:
-        return int(self.out_csr.degrees[v])
-
-    def in_degree(self, v: int) -> int:
-        return int(self.in_csr.degrees[v])
 
     def degree(self, v: int) -> int:
         """Total degree: in+out for directed graphs."""
@@ -380,40 +367,33 @@ def _from_arcs(n: int, directed: bool, tails, heads, weights,
 
 # -- blocks and common neighbours -----------------------------------------
 
-# A block holds about this many entries per temporary: a traversal block
-# of b sources has (n, b) and (arcs, b) ones, so b = _BLOCK_ENTRIES //
-# max(n, arcs); `cut_blocks` bounds the summed cost of a block by it.
+# A block holds about this many entries per temporary: a traversal
+# block of b sources has (n, b) and (arcs, b) ones, so b =
+# _BLOCK_ENTRIES // max(n, arcs).
 _BLOCK_ENTRIES = 1 << 17
 
 
 def cut_blocks(costs, share: int = 1) -> list[slice]:
-    """Consecutive slices covering range(len(costs)), cut wherever the
-    running sum of `costs` passes a multiple of the budget
-    _BLOCK_ENTRIES // share: a block's costs sum to less than the budget
-    plus the cost of its first item."""
+    """Consecutive slices of range(len(costs)), cut where the running sum
+    of `costs` passes a multiple of _BLOCK_ENTRIES // share."""
     step = np.cumsum(costs) // max(1, _BLOCK_ENTRIES // share)
     ends = [0, *(np.flatnonzero(np.diff(step)) + 1).tolist(), len(costs)]
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def closed_wedges(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(arc, vt, rt): one triple for every stored arc (v, r) of the CSR
-    operator `a`, whose rows are sorted, and every t in both v's and
-    r's rows; vt and rt are the positions of (v, t) and (r, t). Triples
-    are grouped by arc in storage order, t ascending within an arc.
-
-    Each arc walks the shorter of its two rows and finds the other
-    entry by a binary search of the sorted arc keys tail * n + head
-    (Latapy's triangle listing), in blocks of arcs whose walks sum to
-    about half of _BLOCK_ENTRIES.
-    """
+    """(arc, vt, rt) for every stored arc (v, r) of the CSR operator `a`
+    (rows sorted) and every t in both v's and r's rows, vt and rt the
+    positions of (v, t) and (r, t); grouped by arc in storage order, t
+    ascending. Each arc walks the shorter row and binary-searches the
+    sorted keys tail * n + head for the other entry (Latapy's triangle
+    listing), in blocks of walks summing to about _BLOCK_ENTRIES / 2."""
     n, ptr, heads = a.shape[0], a.indptr, a.indices
     deg = np.diff(ptr)
     tails = np.repeat(np.arange(n), deg)
     keys = tails * n + heads
-    walk_r = deg[heads] <= deg[tails]
-    walked = np.where(walk_r, heads, tails)
-    other = np.where(walk_r, tails, heads)
+    flip = deg[heads] <= deg[tails]     # walk r's row rather than v's
+    walked, other = np.where(flip, heads, tails), np.where(flip, tails, heads)
     parts = []
     for part in cut_blocks(deg[walked], 2):
         at = row_positions(ptr, walked[part])
@@ -421,9 +401,8 @@ def closed_wedges(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         want = other[arc] * n + heads[at]
         hit = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         found = keys[hit] == want
-        arc, at, hit = arc[found], at[found], hit[found]
-        flip = walk_r[arc]
-        parts.append((arc, np.where(flip, hit, at), np.where(flip, at, hit)))
+        arc, at, hit, f = arc[found], at[found], hit[found], flip[arc[found]]
+        parts.append((arc, np.where(f, hit, at), np.where(f, at, hit)))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 

@@ -27,12 +27,6 @@ class GraphMetricValue:
     skipped_pairs: int = 0
     details: dict = field(default_factory=dict)
 
-    def numeric(self) -> float:
-        """Scalar view; node sets report their size."""
-        if isinstance(self.value, (tuple, list, frozenset, set)):
-            return float(len(self.value))
-        return float(self.value)
-
 
 # -- distance / dominance ----------------------------------------------------
 

@@ -93,19 +93,14 @@ def _parse_coords(path) -> dict:
 
 
 def dataset_stats(g: Graph) -> DatasetStats:
-    n, m = g.n, g.m
-    if n == 0:
-        return DatasetStats(0, 0, 0.0, 0, g.directed,
-                            0 if g.directed else None,
-                            0 if g.directed else None)
-    if g.directed:
-        return DatasetStats(
-            nodes=n, edges=m, avg_degree=m / n,
-            max_degree=max(g.degrees()), directed=True,
-            max_in=max(g.in_degree(v) for v in range(n)),
-            max_out=max(g.out_degree(v) for v in range(n)))
-    return DatasetStats(nodes=n, edges=m, avg_degree=2 * m / n,
-                        max_degree=max(g.degrees()), directed=False)
+    def top(degrees) -> int:
+        return int(degrees.max(initial=0))
+    arcs = g.out_csr.indices.size
+    return DatasetStats(
+        nodes=g.n, edges=g.m, avg_degree=arcs / g.n if g.n else 0.0,
+        max_degree=top(g.degree_array), directed=g.directed,
+        max_in=top(g.in_csr.degrees) if g.directed else None,
+        max_out=top(g.out_csr.degrees) if g.directed else None)
 
 
 # -- result emission -----------------------------------------------------------

@@ -37,9 +37,6 @@ class ScoreVector:
     def __getitem__(self, i):
         return self.values[i]
 
-    def as_list(self) -> list[float]:
-        return list(self.values)
-
 
 def score_vector(metric_id: str, values, params: dict | None = None) -> ScoreVector:
     return ScoreVector(tuple(values), metric_id,
@@ -69,8 +66,6 @@ class MetricParams:
     lambda_mdd: float = 0.7        # mixed degree decomposition weight
     L: int = 3                     # L-betweenness path-length cap
     delta_decay: float = 0.5       # residual/decay closeness base
-    omega: float = 0.05            # degree-punishment weaken factor
-    r: int = 2                     # degree-punishment radius
     tol: float = 1e-10
     max_iter: int = 100000
     percolation_states: list[float] | None = None
@@ -84,11 +79,10 @@ class MetricParams:
         _check(0.0 <= self.p <= 1.0, "p must lie in [0,1]")
         _check(0.0 < self.q <= 1.0, "q must lie in (0,1]")
         _check(0.0 <= self.lambda_mdd <= 1.0, "lambda_mdd must lie in [0,1]")
-        _check(0.0 <= self.omega <= 1.0, "omega must lie in [0,1]")
         _check(0.0 <= self.si_beta <= 1.0, "si_beta must lie in [0,1]")
         _check(self.tol > 0.0, "tol must be positive")
         _check(self.max_iter >= 1, "max_iter must be >= 1")
-        for name in ("h", "T", "L", "r", "si_steps", "si_runs",
+        for name in ("h", "T", "L", "si_steps", "si_runs",
                      "sample_count"):
             _check(getattr(self, name) >= 1, f"{name} must be >= 1")
         if self.percolation_states is not None:
