@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph, closed_wedges
+from .graph import Graph, closed_wedges, cut_blocks
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -40,22 +41,22 @@ def degree_family(g: Graph, mode: str = "total",
 # -- neighborhood balls ---------------------------------------------------
 
 
-def ball(g: Graph, v: int, h: int) -> set:
-    """Nodes within distance h of v, excluding v itself."""
-    seen = {v}
-    frontier = [v]
-    out: set = set()
+def _volume(g: Graph, h: int) -> np.ndarray:
+    """Summed degree of the nodes within h hops of each node, itself
+    excluded: rows of the pattern of (A + I)^h, in blocks of rows whose
+    walks of length h, capped at n, bound their balls."""
+    op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
+          ).astype(np.int64)
+    deg, walks = g.degree_array, np.ones(g.n, dtype=np.int64)
     for _ in range(h):
-        nxt = []
-        for u in frontier:
-            for w in g.all_neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    out.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
+        walks = np.minimum(op @ walks, g.n)
+    out = np.empty(g.n, dtype=np.int64)
+    for part in cut_blocks(walks):
+        ball = op[part]
+        for _ in range(h - 1):
+            ball = ball @ op
+            ball.data[:] = 1
+        out[part] = ball @ deg - deg[part]
     return out
 
 
@@ -84,9 +85,7 @@ def neighborhood_degree_family(g: Graph, metric: str,
         return score_vector("hybrid-degree", vals,
                             {"alpha": alpha, "beta": beta, "p": p})
     if metric == "volume":
-        vals = [float(sum(g.degree(u) for u in ball(g, v, params.h)))
-                for v in range(g.n)]
-        return score_vector("volume", vals, {"h": params.h})
+        return score_vector("volume", _volume(g, params.h), {"h": params.h})
     raise GraphInputError(f"unknown neighborhood metric {metric!r}")
 
 
@@ -95,10 +94,8 @@ def neighborhood_degree_family(g: Graph, metric: str,
 
 def _linked_pairs(g: Graph) -> np.ndarray:
     """The ordered pairs (r, s) of v's out-neighbours with an arc r -> s,
-    for every v: each arc (v, r) closes one such pair per common
-    out-neighbour s of v and r, so the count is one bincount of the arc
-    tails of `closed_wedges`. An undirected graph counts each linked
-    pair both ways."""
+    for every v: the arcs (v, r) of `closed_wedges`, one per common
+    out-neighbour s. An undirected graph counts each pair both ways."""
     arc, _, _ = closed_wedges(g.adjacency(False))
     return np.bincount(g.arc_tails[arc], minlength=g.n)
 
@@ -156,12 +153,9 @@ def _redundancy(g: Graph) -> np.ndarray:
 
 
 def entropy_family(g: Graph, metric: str) -> ScoreVector:
-    """Local entropy -sum d(u) ln d(u); mapping entropy -d(v) sum ln d(u),
-    over the neighbours u of v with direction ignored, d the total
-    degree: row sums of `undirected_adjacency`, each adding its terms in
-    neighbour order. ln comes from math.log, whose last bit np.log does
-    not always match; an isolated node scores +0.0, a zero sum elsewhere
-    -0.0."""
+    """Local entropy -sum d(u) ln d(u); mapping entropy -d(v) sum ln d(u):
+    row sums over `undirected_adjacency` of math.log (np.log may differ
+    in the last bit); an isolated node scores +0.0."""
     if metric not in ("local-entropy", "mapping-entropy"):
         raise GraphInputError(f"unknown entropy metric {metric!r}")
     sym, deg = g.undirected_adjacency, g.degree_array
@@ -178,14 +172,8 @@ def entropy_family(g: Graph, metric: str) -> ScoreVector:
 
 
 def _h_operator(values) -> int:
-    vals = sorted(values, reverse=True)
-    h = 0
-    for i, x in enumerate(vals):
-        if x >= i + 1:
-            h = i + 1
-        else:
-            break
-    return h
+    """The largest h with h values >= h."""
+    return sum(x >= i for i, x in enumerate(sorted(values, reverse=True), 1))
 
 
 def h_index(g: Graph, order: int = 1) -> ScoreVector:

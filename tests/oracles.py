@@ -896,6 +896,30 @@ def entropy(g, metric):
     return vals
 
 
+def ball(g, v, h):
+    """Nodes within distance h of v, excluding v itself."""
+    seen = {v}
+    frontier = [v]
+    out = set()
+    for _ in range(h):
+        nxt = []
+        for u in frontier:
+            for w in g.all_neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    out.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
+
+
+def volume(g, h):
+    return [float(sum(g.degree(u) for u in ball(g, v, h)))
+            for v in range(g.n)]
+
+
 def two_ball_sizes(g):
     """|N_2(w)| for every w: nearest plus next-nearest neighbours."""
     sizes = []

@@ -224,6 +224,19 @@ def test_semi_local_and_hybrid_degree_loops(kind):
         oracles.hybrid_degree(g, 3.0, 0.5, 0.2)
 
 
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("h", [1, 2, 5])
+@pytest.mark.parametrize("kind", UNDIRECTED + ("pendants",))
+def test_volume_loop(kind, h, small, request):
+    """Also in `small_blocks`, where a block holds a few rows at h = 1
+    and one row from h = 2 on."""
+    if small:
+        request.getfixturevalue("small_blocks")
+    g = _pendants() if kind == "pendants" else GRAPHS[kind][0]
+    got = neighborhood_degree_family(g, "volume", MetricParams(h=h)).values
+    assert list(got) == oracles.volume(g, h)
+
+
 @pytest.mark.parametrize("kind", UNDIRECTED)
 def test_local_assortativity_loop(kind):
     g, _ = GRAPHS[kind]
