@@ -381,6 +381,28 @@ def cut_blocks(costs, share: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
+def hop_balls(op, rows, radius: int):
+    """For each block of `rows`: (part, inner, ball), the 0/1 rows of the
+    nodes within `radius` and `radius` - 1 hops of rows[part] over the
+    integer operator `op`, which holds the identity (scipy drops zero
+    sums). A row's walks of length `radius`, capped at n, bound its ball,
+    and `cut_blocks` keeps their sum over a block near _BLOCK_ENTRIES."""
+    n = op.shape[0]
+    walks = np.ones(n, dtype=np.int64)
+    for _ in range(radius):
+        walks = np.minimum(op @ walks, n)
+    for part in cut_blocks(walks[rows]):
+        k = part.stop - part.start
+        ball = scipy.sparse.csr_matrix(
+            (np.ones(k, dtype=np.int64), rows[part], np.arange(k + 1)),
+            shape=(k, n))
+        for _ in range(radius):
+            inner = ball
+            ball = inner @ op
+            ball.data[:] = 1
+        yield part, inner, ball
+
+
 def closed_wedges(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(arc, vt, rt) for every stored arc (v, r) of the CSR operator `a`
     (rows sorted) and every t in both v's and r's rows, vt and rt the

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError
-from .graph import INF, Graph, cut_blocks, shortest_paths
+from .graph import INF, Graph, hop_balls, shortest_paths
 from .params import GroupSelectParams
 
 
@@ -236,25 +236,11 @@ class _Residual:
         return (float(ci.sum()) / (self.n * self.mean_deg)) ** (1 / (ell + 1))
 
     def ci(self, rows: np.ndarray, ell: int) -> np.ndarray:
-        """int64 CI of the alive `rows`. Row i of `ball` grows by one hop
-        per product; the distance-ell frontier is the radius-ell ball
-        less the radius ell - 1 one. A row's walks of length ell on `op`,
-        capped at n, bound its ball, and `cut_blocks` keeps the bound's sum
-        over a block of rows near _BLOCK_ENTRIES."""
-        walks = np.ones(self.n, dtype=np.int64)
-        for _ in range(ell):
-            walks = np.minimum(self.op @ walks, self.n)
+        """int64 CI of the alive `rows`: the distance-ell frontier is the
+        radius-ell ball less the radius ell - 1 one."""
         excess = self.deg - 1
         out = np.empty(len(rows), dtype=np.int64)
-        for part in cut_blocks(walks[rows]):
-            k = part.stop - part.start
-            ball = scipy.sparse.csr_matrix(
-                (np.ones(k, dtype=np.int64), rows[part], np.arange(k + 1)),
-                shape=(k, self.n))
-            for _ in range(ell):
-                inner = ball
-                ball = inner @ self.op
-                ball.data[:] = 1
+        for part, inner, ball in hop_balls(self.op, rows, ell):
             out[part] = excess[rows[part]] * (ball @ excess - inner @ excess)
         return out
 

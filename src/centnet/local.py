@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph, closed_wedges, cut_blocks
+from .graph import Graph, closed_wedges, hop_balls
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -43,19 +43,11 @@ def degree_family(g: Graph, mode: str = "total",
 
 def _volume(g: Graph, h: int) -> np.ndarray:
     """Summed degree of the nodes within h hops of each node, itself
-    excluded: rows of the pattern of (A + I)^h, in blocks of rows whose
-    walks of length h, capped at n, bound their balls."""
+    excluded."""
     op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
           ).astype(np.int64)
-    deg, walks = g.degree_array, np.ones(g.n, dtype=np.int64)
-    for _ in range(h):
-        walks = np.minimum(op @ walks, g.n)
-    out = np.empty(g.n, dtype=np.int64)
-    for part in cut_blocks(walks):
-        ball = op[part]
-        for _ in range(h - 1):
-            ball = ball @ op
-            ball.data[:] = 1
+    deg, out = g.degree_array, np.empty(g.n, dtype=np.int64)
+    for part, _, ball in hop_balls(op, np.arange(g.n), h):
         out[part] = ball @ deg - deg[part]
     return out
 
