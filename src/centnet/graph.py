@@ -381,16 +381,18 @@ def cut_blocks(costs, share: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def hop_balls(op, rows, radius: int):
-    """For each block of `rows`: (part, inner, ball), the 0/1 rows of the
-    nodes within `radius` and `radius` - 1 hops of rows[part] over the
-    integer operator `op`, which holds the identity (scipy drops zero
-    sums). A row's walks of length `radius`, capped at n, bound its ball,
-    and `cut_blocks` keeps their sum over a block near _BLOCK_ENTRIES."""
+def ball_sums(op, rows, radius: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outer): the sums of x over the nodes within radius - 1 and
+    `radius` hops of each of `rows` over the integer operator `op`, which
+    holds the identity (scipy drops zero sums). The balls grow by one
+    product per hop, in blocks of rows that `cut_blocks` cuts from each
+    row's walks of length `radius`, capped at n, which bound its ball."""
     n = op.shape[0]
     walks = np.ones(n, dtype=np.int64)
     for _ in range(radius):
         walks = np.minimum(op @ walks, n)
+    inner_sum, outer_sum = np.empty((2, len(rows)),
+                                    dtype=np.result_type(op.dtype, x))
     for part in cut_blocks(walks[rows]):
         k = part.stop - part.start
         ball = scipy.sparse.csr_matrix(
@@ -400,7 +402,8 @@ def hop_balls(op, rows, radius: int):
             inner = ball
             ball = inner @ op
             ball.data[:] = 1
-        yield part, inner, ball
+        inner_sum[part], outer_sum[part] = inner @ x, ball @ x
+    return inner_sum, outer_sum
 
 
 def closed_wedges(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

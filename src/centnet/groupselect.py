@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError
-from .graph import INF, Graph, hop_balls, shortest_paths
+from .graph import INF, Graph, ball_sums, shortest_paths
 from .params import GroupSelectParams
 
 
@@ -239,10 +239,8 @@ class _Residual:
         """int64 CI of the alive `rows`: the distance-ell frontier is the
         radius-ell ball less the radius ell - 1 one."""
         excess = self.deg - 1
-        out = np.empty(len(rows), dtype=np.int64)
-        for part, inner, ball in hop_balls(self.op, rows, ell):
-            out[part] = excess[rows[part]] * (ball @ excess - inner @ excess)
-        return out
+        inner, outer = ball_sums(self.op, rows, ell, excess)
+        return excess[rows] * (outer - inner)
 
 
 def collective_influence(g: Graph, budget: int | None = None,

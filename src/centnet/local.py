@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph, closed_wedges, hop_balls
+from .graph import Graph, ball_sums, closed_wedges
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -46,10 +46,8 @@ def _volume(g: Graph, h: int) -> np.ndarray:
     excluded."""
     op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
           ).astype(np.int64)
-    deg, out = g.degree_array, np.empty(g.n, dtype=np.int64)
-    for part, _, ball in hop_balls(op, np.arange(g.n), h):
-        out[part] = ball @ deg - deg[part]
-    return out
+    deg = g.degree_array
+    return ball_sums(op, np.arange(g.n), h, deg)[1] - deg
 
 
 def _semi_local(a) -> np.ndarray:

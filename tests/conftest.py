@@ -53,7 +53,7 @@ def atlas_weighted(atlas_sample):
 @pytest.fixture
 def small_blocks(monkeypatch):
     """A block budget of 64 entries, so that on a few hundred nodes the
-    common-neighbour kernel, the hop balls of collective influence and
+    common-neighbour kernel, the ball sums of collective influence and
     volume, and `traverse` each cut many blocks."""
     monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 64)
 
