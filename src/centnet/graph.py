@@ -27,7 +27,8 @@ DAG that Brandes dependencies and Goh's load reduce over;
 `require_dense`) are calls of it. `closed_wedges` lists the common
 neighbours of the two ends of every arc, which clustering, redundancy
 and contribution's Jaccard weights count; `cut_blocks` cuts its blocks,
-and collective influence's, from the budget that sizes traverse's.
+and the row blocks of `ball_sums` (collective influence, volume), from
+the budget that sizes traverse's.
 `fixed_point` is the one loop that iterates a step map until successive
 iterates agree in the sup norm; `power_iteration` runs it with an
 L2-normalising step. Dense solves and eigendecompositions pass
