@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError
-from .graph import INF, Graph, ball_sums, shortest_paths
+from .graph import INF, Graph, shortest_paths
+from .neighborhoods import ball_sums
 from .params import GroupSelectParams
 
 

@@ -22,7 +22,6 @@ import scipy.sparse
 from .errors import GraphInputError, UnsupportedGraphError
 from .graph import (
     Graph,
-    closed_wedges,
     fixed_point,
     power_iteration,
     require_dense,
@@ -30,6 +29,7 @@ from .graph import (
     solve_linear,
     spectral_radius,
 )
+from .neighborhoods import closed_wedges
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -135,8 +135,7 @@ def _aggregation(g: Graph, aggregate: str = "in", weighted: bool = True,
     aggregate='out' flips to out-neighbors. `weighted=False` counts each
     arc once. `dissimilarity` scales each entry by the Jaccard
     dissimilarity of the two endpoints' undirected neighborhoods,
-    1 - common / (deg_u + deg_v - common), the common neighbours of
-    every arc counted by `closed_wedges`.
+    1 - common / (deg_u + deg_v - common), common from `closed_wedges`.
     """
     a = g.adjacency(weighted)
     if not g.directed or aggregate == "out":

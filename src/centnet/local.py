@@ -8,7 +8,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
-from .graph import Graph, ball_sums, closed_wedges
+from .graph import Graph
+from .neighborhoods import ball_sums, closed_wedges
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -41,15 +42,6 @@ def degree_family(g: Graph, mode: str = "total",
 # -- neighborhood balls ---------------------------------------------------
 
 
-def _volume(g: Graph, h: int) -> np.ndarray:
-    """Summed degree of the nodes within h hops of each node, itself
-    excluded."""
-    op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
-          ).astype(np.int64)
-    deg = g.degree_array
-    return ball_sums(op, np.arange(g.n), h, deg)[1] - deg
-
-
 def _semi_local(a) -> np.ndarray:
     """A @ (A @ d2), d2 the nearest plus next-nearest neighbour count of
     every node: the entries of A + A @ A off the diagonal, row by row.
@@ -75,7 +67,12 @@ def neighborhood_degree_family(g: Graph, metric: str,
         return score_vector("hybrid-degree", vals,
                             {"alpha": alpha, "beta": beta, "p": p})
     if metric == "volume":
-        return score_vector("volume", _volume(g, params.h), {"h": params.h})
+        # the summed degree within h hops, less the node's own
+        op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
+              ).astype(np.int64)
+        deg = g.degree_array
+        vals = ball_sums(op, np.arange(g.n), params.h, deg)[1] - deg
+        return score_vector("volume", vals, {"h": params.h})
     raise GraphInputError(f"unknown neighborhood metric {metric!r}")
 
 

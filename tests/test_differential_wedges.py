@@ -18,9 +18,9 @@ import pytest
 import oracles
 from _synth import ba_edges
 from centnet import build_graph
-from centnet.graph import closed_wedges
 from centnet.iterative import _aggregation
 from centnet.local import clustering_family, local_clustering
+from centnet.neighborhoods import closed_wedges
 
 N = 300
 KINDS = ("ba", "oriented", "union", "weighted")
