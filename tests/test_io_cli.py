@@ -91,6 +91,12 @@ class TestDatasetStats:
         assert st.max_out == 2 and st.max_in == 2
         assert st.avg_degree == pytest.approx(1.0)
 
+    def test_directed_in_and_out_apart(self, tmp_path):
+        f = tmp_path / "star.txt"
+        f.write_text("a b\na c\na d\n")
+        st = cio.dataset_stats(cio.parse_edge_list(str(f), directed=True))
+        assert (st.max_out, st.max_in, st.max_degree) == (3, 1, 3)
+
     def test_lossless_pipeline(self, tmp_path, atlas_sample):
         for i, g in enumerate(atlas_sample[:25]):
             if g.m == 0:
