@@ -24,7 +24,11 @@ def _parse_param(text: str):
         raise GraphInputError(f"--param expects k=v, got {text!r}")
     key, value = text.split("=", 1)
     if value.startswith("[") or value.startswith("{"):
-        return key, json.loads(value)
+        try:
+            return key, json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise GraphInputError(f"--param {text!r}: bad JSON: {exc}") \
+                from exc
     for conv in (int, float):
         try:
             return key, conv(value)

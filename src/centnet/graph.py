@@ -6,7 +6,9 @@ engine, connected components, unit-capacity max flow on csgraph's
 Edmonds-Karp, and the linear-algebra layer.
 
 A `Graph` is read-only compressed rows (CSR arrays) of out- and
-in-neighbours. `build_graph` interns the labels in one dict pass and
+in-neighbours. `build_graph` reads any iterable of edges once, checking
+each edge as it reads it and naming the first malformed one; it interns
+the labels in a dict as it goes, streams the ids into an array and
 builds the rows with numpy: self-loops dropped, duplicates collapsed to
 their first occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -271,29 +274,37 @@ def build_graph(edges, directed: bool = False, isolated=(),
                 coordinates=None) -> Graph:
     """Construct a Graph from (u, v) or (u, v, weight) edges.
 
-    Endpoint labels may be any hashable token; dense ids are assigned in
-    first-appearance order. Self-loops are dropped (counted), duplicate
-    edges collapse to the first occurrence (counted). `isolated` declares
-    extra nodes with no edges. `coordinates` maps label -> (x, y). A
-    malformed edge raises GraphInputError naming its index.
+    `edges` may be any iterable, a list or a one-shot generator; it is
+    read once. Endpoint labels may be any hashable token; dense ids are
+    assigned in first-appearance order. Self-loops are dropped
+    (counted), duplicate edges collapse to the first occurrence
+    (counted). `isolated` declares extra nodes with no edges.
+    `coordinates` maps label -> (x, y). Each edge is checked as it is
+    read: the first malformed one raises GraphInputError naming its
+    index, while an error raised by the iterator itself passes through
+    unchanged.
     """
-    if not isinstance(edges, (list, tuple)):
-        edges = list(edges)
     label_to_id: dict = {}
     intern = label_to_id.setdefault
-    try:
-        ends = np.array([intern(x, len(label_to_id))
-                         for e in edges for x in (e[0], e[1])],
-                        dtype=np.int64)
-        widths = np.fromiter(map(len, edges), np.int64, len(edges))
-        weights = np.ones(len(edges))
-        weighted = np.flatnonzero(widths == 3)
-        weights[weighted] = [float(edges[i][2]) for i in weighted.tolist()]
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise _malformed(edges) from exc
-    if np.any((widths < 2) | (widths > 3)) or \
-            not np.all((weights > 0.0) & np.isfinite(weights)):
-        raise _malformed(edges)
+    weights = array("d")
+
+    def ends():
+        for idx, e in enumerate(edges):
+            try:
+                width = len(e)
+                w = 1.0 if width == 2 else float(e[2])
+                tail = intern(e[0], len(label_to_id))
+                head = intern(e[1], len(label_to_id))
+            except (TypeError, ValueError, IndexError, KeyError,
+                    OverflowError) as exc:
+                raise _malformed(idx, e) from exc
+            if width not in (2, 3) or not 0.0 < w < INF:
+                raise _malformed(idx, e)
+            weights.append(w)
+            yield tail
+            yield head
+
+    ids = np.fromiter(ends(), np.int64)
     for lbl in isolated:
         try:
             intern(lbl, len(label_to_id))
@@ -301,32 +312,34 @@ def build_graph(edges, directed: bool = False, isolated=(),
             raise GraphInputError(
                 f"isolated node {lbl!r}: labels must be hashable") from exc
     labels = list(label_to_id)
-
-    coords = None
-    if coordinates is not None:
-        coords = tuple(tuple(map(float, coordinates[lbl])) for lbl in labels)
-
+    coords = None if coordinates is None else _coords(coordinates, labels)
     plain = all(lbl == i for i, lbl in enumerate(labels))
-    return _from_arcs(len(labels), directed, ends[0::2], ends[1::2], weights,
+    return _from_arcs(len(labels), directed, ids[0::2], ids[1::2],
+                      np.frombuffer(weights),
                       labels=None if plain else tuple(labels), coords=coords,
                       _label_to_id=label_to_id if not plain else {})
 
 
-def _malformed(edges) -> GraphInputError:
-    """The error naming the first edge that is not (u, v) or (u, v,
-    weight) with hashable labels and a positive finite weight."""
-    for idx, e in enumerate(edges):
+def _malformed(idx: int, e) -> GraphInputError:
+    return GraphInputError(
+        f"edge {idx}: expected (u, v) or (u, v, weight) with hashable "
+        f"labels and a positive weight, got {e!r}")
+
+
+def _coords(coordinates, labels) -> tuple:
+    """The (x, y) floats of each label, in the order of `labels`."""
+    out = []
+    for lbl in labels:
         try:
-            hash(e[0]), hash(e[1])
-            w = float(e[2]) if len(e) == 3 else 1.0
-            ok = len(e) in (2, 3) and w > 0.0 and math.isfinite(w)
-        except (TypeError, ValueError, IndexError, KeyError):
-            ok = False
-        if not ok:
-            return GraphInputError(
-                f"edge {idx}: expected (u, v) or (u, v, weight) with "
-                f"hashable labels and a positive weight, got {e!r}")
-    return GraphInputError("malformed edge list")
+            out.append(tuple(map(float, coordinates[lbl])))
+        except KeyError as exc:
+            raise GraphInputError(f"node {lbl!r} has no coordinates") \
+                from exc
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(
+                f"node {lbl!r}: coordinates must be numbers, got "
+                f"{coordinates[lbl]!r}") from exc
+    return tuple(out)
 
 
 def graph_from_arcs(n: int, directed: bool, arcs,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import GraphInputError
@@ -39,24 +40,22 @@ def parse_edge_list(path, directed: bool = False,
     """One edge per line: "u v [w]", whitespace or comma separated.
 
     Lines starting with '#' or '%' are comments (the public datasets use
-    both conventions). Duplicate edges collapse, self-loops drop; both
-    are counted on the returned graph.
+    both conventions). The file streams line by line into `build_graph`,
+    which holds no line or edge after reading it. Duplicate edges
+    collapse, self-loops drop; both are counted on the returned graph.
     """
-    edges = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(raw_lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#") or text.startswith("%"):
-            continue
-        parts = text.replace(",", " ").split()
-        if len(parts) not in (2, 3):
-            raise GraphInputError(
-                f"{path}:{lineno}: expected 'u v [w]', got {text!r}")
-        if len(parts) == 3:
+    def edges(lines):
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text or text.startswith("#") or text.startswith("%"):
+                continue
+            parts = text.replace(",", " ").split()
+            if len(parts) not in (2, 3):
+                raise GraphInputError(
+                    f"{path}:{lineno}: expected 'u v [w]', got {text!r}")
+            if len(parts) == 2:
+                yield parts
+                continue
             try:
                 w = float(parts[2])
             except ValueError as exc:
@@ -65,21 +64,34 @@ def parse_edge_list(path, directed: bool = False,
             if not (w > 0.0) or not math.isfinite(w):
                 raise GraphInputError(
                     f"{path}:{lineno}: weight must be positive, got {w}")
-            edges.append((parts[0], parts[1], w))
-        else:
-            edges.append((parts[0], parts[1]))
-    if not edges:
+            yield parts[0], parts[1], w
+
+    coords = None if coords_path is None else _parse_coords(coords_path)
+    with _reading(path) as fh:
+        g = build_graph(edges(fh), directed=directed, coordinates=coords)
+    # each edge read is kept, dropped as a self-loop or collapsed as a
+    # duplicate, so a file of self-loops alone is not empty
+    if not g.m + g.self_loops_dropped + g.duplicates_collapsed:
         raise GraphInputError(f"{path}: no edges found")
-    coords = None
-    if coords_path is not None:
-        coords = _parse_coords(coords_path)
-    g = build_graph(edges, directed=directed, coordinates=coords)
     return g
+
+
+@contextmanager
+def _reading(path):
+    """`path` opened as UTF-8 text; failing to open, read or decode it
+    inside the block raises GraphInputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise GraphInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_coords(path) -> dict:
     coords = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#") or text.startswith("%"):
@@ -88,7 +100,11 @@ def _parse_coords(path) -> dict:
             if len(parts) != 3:
                 raise GraphInputError(
                     f"{path}:{lineno}: expected 'node x y', got {text!r}")
-            coords[parts[0]] = (float(parts[1]), float(parts[2]))
+            try:
+                coords[parts[0]] = (float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise GraphInputError(
+                    f"{path}:{lineno}: bad coordinates {text!r}") from exc
     return coords
 
 
@@ -177,10 +193,8 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """JSON config with snake_case fields mirroring the plan layout."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _reading(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise GraphInputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -15,6 +15,8 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse
 
+from centnet import GraphInputError
+
 INF = math.inf
 
 
@@ -1308,3 +1310,35 @@ def delta_hyperbolicity(dist, sample_count, rng_seed):
         ratios.append(best / ell)
     return (max(deltas), sum(deltas) / len(deltas),
             sum(ratios) / len(ratios), len(triples))
+
+
+def parse_edge_lines(path):
+    """The edges of an edge-list file, read with readlines and parsed
+    line by line: comments judged before commas become spaces, 2 or 3
+    columns, a positive finite weight."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        raw_lines = fh.readlines()
+    for lineno, line in enumerate(raw_lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#") or text.startswith("%"):
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) not in (2, 3):
+            raise GraphInputError(
+                f"{path}:{lineno}: expected 'u v [w]', got {text!r}")
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError as exc:
+                raise GraphInputError(
+                    f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+            if not (w > 0.0) or not math.isfinite(w):
+                raise GraphInputError(
+                    f"{path}:{lineno}: weight must be positive, got {w}")
+            edges.append((parts[0], parts[1], w))
+        else:
+            edges.append((parts[0], parts[1]))
+    if not edges:
+        raise GraphInputError(f"{path}: no edges found")
+    return edges

@@ -58,12 +58,33 @@ class TestBuildGraph:
         ([(1, 2, None)], 0), ([([1], 2)], 0), ([(0, 1), 7], 1),
         ([(0, 1), (1, 2, "x"), (2, 3, -1.0)], 1),
         ([(0, 1), (1, 2, -1.0), ([2], 3)], 1),
-        ([(0, 1, 2.0), (1, 2), (2, 3), (3, [4])], 3)])
+        ([(0, 1, 2.0), (1, 2), (2, 3), (3, [4])], 3),
+        ([(0, 1), (1, 2, 10 ** 400)], 1)])
     def test_malformed_edge_is_named(self, edges, index):
         # all but the eighth used to raise a bare ValueError or TypeError;
         # the first bad edge is named, whatever is wrong with it
         with pytest.raises(GraphInputError, match=f"^edge {index}[ :]"):
             build_graph(edges)
+
+    @pytest.mark.parametrize("exc", [
+        KeyError("k"), ValueError("v"), TypeError("t"),
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")])
+    def test_iterator_error_propagates_unchanged(self, exc):
+        def edges():
+            yield (0, 1)
+            raise exc
+        with pytest.raises(type(exc)) as err:
+            build_graph(edges())
+        assert err.value is exc
+
+    def test_node_without_coordinates(self):
+        with pytest.raises(GraphInputError, match="node 2"):
+            build_graph([(1, 2)], coordinates={1: (0, 0)})
+
+    @pytest.mark.parametrize("pair", [("x", 1.0), 5, None])
+    def test_non_numeric_coordinates(self, pair):
+        with pytest.raises(GraphInputError, match="node 2"):
+            build_graph([(1, 2)], coordinates={1: (0, 0), 2: pair})
 
     def test_unhashable_isolated_label(self):
         with pytest.raises(GraphInputError):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,57 @@ class TestParseEdgeList:
         cf.write_text("a 0 0\nb 1 0\nc 2 0\n")
         g = cio.parse_edge_list(str(f), coords_path=str(cf))
         assert g.coords == ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+
+    def test_only_self_loops_is_not_empty(self, tmp_path):
+        f = tmp_path / "loops.txt"
+        f.write_text("1 1\n2 2\n")
+        g = cio.parse_edge_list(str(f))
+        assert (g.n, g.m, g.self_loops_dropped) == (2, 0, 2)
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        f = tmp_path / "latin.txt"
+        f.write_bytes(b"1 2\n\xff\xfe 3\n")
+        with pytest.raises(GraphInputError, match="^[^e].*latin.txt") as err:
+            cio.parse_edge_list(str(f))
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+    def test_missing_coords_file(self, tmp_path, p3_file):
+        with pytest.raises(GraphInputError, match="nope.xy"):
+            cio.parse_edge_list(p3_file,
+                                coords_path=str(tmp_path / "nope.xy"))
+
+    @pytest.mark.parametrize("text, where", [
+        ("1 0 0\n1 x 2\n", "g.xy:2:"), ("1 0 0\n2 0 inf0\n", "g.xy:2:"),
+        ("1 0 0\n\xff 1 1\n", "g.xy")])
+    def test_bad_coords_line(self, tmp_path, p3_file, text, where):
+        cf = tmp_path / "g.xy"
+        cf.write_bytes(text.encode("latin-1"))
+        with pytest.raises(GraphInputError, match=where):
+            cio.parse_edge_list(p3_file, coords_path=str(cf))
+
+    def test_node_without_coords(self, tmp_path, p3_file):
+        cf = tmp_path / "g.xy"
+        cf.write_text("a 0 0\nb 1 0\nc 2 0\n")
+        with pytest.raises(GraphInputError, match="node '1'"):
+            cio.parse_edge_list(p3_file, coords_path=str(cf))
+
+    def test_parse_peak_memory_per_line(self, tmp_path):
+        # the parse holds no line and no edge tuple beyond the one it
+        # reads: under 300 traced bytes a line, where holding every line
+        # and every edge took over 430
+        from _synth import ba_edges
+        f = tmp_path / "ba.txt"
+        edges = ba_edges(20000, 3, 1)
+        f.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        del edges
+        tracemalloc.start()
+        try:
+            g = cio.parse_edge_list(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m + g.duplicates_collapsed == 59991
+        assert peak / 59991 < 300
 
 
 class TestDatasetStats:
@@ -201,6 +253,12 @@ class TestConfig:
         with pytest.raises(GraphInputError):
             cio.load_config(str(cfg))
 
+    def test_non_utf8_names_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"input_path": "\xff"}')
+        with pytest.raises(GraphInputError, match="cfg.json"):
+            cio.load_config(str(cfg))
+
 
 class TestCli:
     def test_stats(self, p3_file, capsys):
@@ -244,6 +302,18 @@ class TestCli:
 
     def test_missing_file_exit1(self, capsys):
         assert cli_mod.main(["stats", "/does/not/exist.txt"]) == 1
+
+    def test_non_utf8_file_exit1(self, tmp_path, capsys):
+        f = tmp_path / "latin.txt"
+        f.write_bytes(b"1 2\n\xff\xfe 3\n")
+        assert cli_mod.main(["stats", str(f)]) == 1
+        assert "latin.txt" in capsys.readouterr().err
+
+    def test_bad_json_param_exit1(self, p3_file, capsys):
+        rc = cli_mod.main(["centrality", p3_file, "--metric", "degree",
+                           "--param", "x=[1,"])
+        assert rc == 1
+        assert "x=[1," in capsys.readouterr().err
 
     def test_computation_error_exit2(self, tmp_path, capsys):
         f = tmp_path / "disc.txt"

@@ -5,17 +5,20 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import oracles
 from centnet import (
+    GraphInputError,
     build_graph,
     components,
     non_infectious_attack,
     rank_targets,
 )
 from centnet.globalmetrics import betweenness_family, closeness_family
+from centnet.io import parse_edge_list
 from centnet.params import score_vector
 from centnet.resilience import removal_count
 
@@ -173,11 +176,19 @@ def test_rank_targets_is_score_then_id(scores):
     assert rank_targets(score_vector("x", scores)) == want
 
 
+# Edges that build_graph rejects: a wrong width, a weight that is not a
+# positive finite number, an unhashable label, not a sequence at all.
+BAD_EDGES = st.sampled_from([
+    (1,), (1, 2, 3.0, 4), (1, 2, "x"), (1, 2, None), (1, 2, -1.0),
+    (1, 2, 0.0), (1, 2, float("nan")), (1, 2, float("inf")), ([1], 2),
+    (1, {2}), 7, (1, 2, 10 ** 400)])
+
+
 @st.composite
 def raw_edges(draw):
     """(edges, directed, isolated): (u, v) and (u, v, w) edges, plus
     reversed copies of some of them with other weights, each placed
-    after its original."""
+    after its original, and sometimes one malformed edge."""
     edge = st.tuples(LABELS, LABELS) | st.tuples(LABELS, LABELS, WEIGHTS)
     edges = draw(st.lists(edge, max_size=40))
     for _ in range(draw(st.integers(0, 8)) if edges else 0):
@@ -185,6 +196,9 @@ def raw_edges(draw):
         u, v = edges[i][:2]
         edges.insert(draw(st.integers(i + 1, len(edges))),
                      (v, u, draw(WEIGHTS)))
+    bad = draw(st.none() | BAD_EDGES)
+    if bad is not None:
+        edges.insert(draw(st.integers(0, len(edges))), bad)
     return edges, draw(st.booleans()), draw(st.lists(LABELS, max_size=5))
 
 
@@ -192,13 +206,37 @@ def _arrays(a):
     return a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
 
 
+def _assert_same_graph(g, h):
+    """Equal labels and ids, counts, and both row sets with their
+    dtypes."""
+    assert (g.n, g.directed, g.labels, g.coords) == \
+        (h.n, h.directed, h.labels, h.coords)
+    assert g._label_to_id == h._label_to_id
+    assert (g.self_loops_dropped, g.duplicates_collapsed) == \
+        (h.self_loops_dropped, h.duplicates_collapsed)
+    for a, b in ((g.out_csr, h.out_csr), (g.in_csr, h.in_csr)):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(raw_edges())
 def test_build_matches_the_tuple_build(case):
     """The array build equals the per-edge tuple build exactly: ids,
-    counts, the tuple views, and the operators it re-read from them."""
+    counts, the tuple views, and the operators it re-read from them. A
+    one-shot generator of the same edges builds the same graph, or names
+    the same malformed edge."""
     edges, directed, isolated = case
-    g = build_graph(edges, directed=directed, isolated=isolated)
+    try:
+        g = build_graph(edges, directed=directed, isolated=isolated)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as err:
+            build_graph((e for e in edges), directed=directed,
+                        isolated=isolated)
+        assert str(err.value) == str(exc)
+        return
+    _assert_same_graph(build_graph((e for e in edges), directed=directed,
+                                   isolated=isolated), g)
     ref = oracles.tuple_build_graph(edges, directed=directed,
                                     isolated=isolated)
     assert (g.labels, g.n) == (ref.labels, ref.n)
@@ -210,3 +248,68 @@ def test_build_matches_the_tuple_build(case):
             _arrays(ref.adjacency(weighted))
     assert _arrays(g.undirected_adjacency) == \
         _arrays(ref.undirected_adjacency())
+
+
+# Edge-list text: readline splits only at \n, \r\n and a lone \r, while
+# str.splitlines also splits at \x0c, \x1c and \u2028; strip and split
+# take all three as whitespace.
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+GAPS = st.sampled_from([" ", "\t", ",", " , ", ",,", "\x0c", "\x1c",
+                        "\u2028", "\t "])
+PADDING = st.sampled_from(["", " ", "\t", ",", "\x0c", "\u2028"])
+TOKENS = st.sampled_from(["1", "2", "3", "a", "#", "%", "1.5"])
+TEXT_WEIGHTS = st.sampled_from(["1", "2.5", "0.25", "1e0", "+3"])
+BAD_LINES = st.sampled_from([
+    "1", "1 2 3 4", "1 2 x", "1 2 -1", "1,2,0", "1 2 nan", "1 2 inf", ",",
+    "1\x1c2\x1c3\x1c4", ",#", "1\u20282\u20283\u20284"])
+
+
+@st.composite
+def edge_files(draw):
+    """The text of an edge-list file: edge lines of 2 and 3 columns,
+    comments, blank lines and mixed line ends, and sometimes one line
+    that the parse rejects."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge", "edge", "comment", "blank"]))
+        if kind == "edge":
+            cols = [draw(TOKENS), draw(TOKENS),
+                    *draw(st.lists(TEXT_WEIGHTS, max_size=1))]
+            text = cols[0]
+            for col in cols[1:]:
+                text += draw(GAPS) + col
+        elif kind == "comment":
+            text = draw(st.sampled_from(["#", "%"])) + \
+                draw(st.sampled_from(["", " 1 2", "x,y,z", "\x1c1 2"]))
+        else:
+            text = ""
+        lines.append(draw(PADDING) + text + draw(PADDING) +
+                     draw(LINE_ENDS))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(BAD_LINES) + draw(LINE_ENDS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_files(), st.booleans())
+@example("# c\r\n% c\n,#,2\r1,2\t1.5\n\n1\x0c2\r\n2\x1c3\n3\u2028a 2\n"
+         "\t a , b \r1 a\r\n", False)
+def test_parse_matches_the_line_parser(tmp_path, text, directed):
+    """The streaming parse builds the graph of the edges that the
+    readlines parse reads, or raises the same error at the same
+    path:lineno."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        edges = oracles.parse_edge_lines(path)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as err:
+            parse_edge_list(path, directed=directed)
+        assert str(err.value) == str(exc)
+        return
+    _assert_same_graph(parse_edge_list(path, directed=directed),
+                       build_graph(edges, directed=directed))
