@@ -332,13 +332,9 @@ def _coords(coordinates, labels) -> tuple:
     for lbl in labels:
         try:
             out.append(tuple(map(float, coordinates[lbl])))
-        except KeyError as exc:
-            raise GraphInputError(f"node {lbl!r} has no coordinates") \
-                from exc
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GraphInputError(
-                f"node {lbl!r}: coordinates must be numbers, got "
-                f"{coordinates[lbl]!r}") from exc
+                f"node {lbl!r}: no numeric (x, y) coordinates") from exc
     return tuple(out)
 
 
