@@ -80,11 +80,11 @@ class CSR(NamedTuple):
 
 def _csr(n: int, tails, heads, weights) -> CSR:
     """The rows of the distinct arcs tails -> heads, each sorted by head:
-    one argsort of the key tail * n + head (a lexsort of the two arrays
-    takes several times longer). Index arrays are int32 when they fit,
-    the type scipy.sparse would give them, so that `Graph.adjacency`
-    wraps them as they are."""
-    order = np.argsort(tails * n + heads)
+    one argsort of the key tail * n + head, taken in int64 whatever the
+    ends' type (a lexsort of the two arrays takes several times longer).
+    Index arrays are int32 when they fit, the type scipy.sparse would
+    give them, so that `Graph.adjacency` wraps them as they are."""
+    order = np.argsort(np.multiply(tails, n, dtype=np.int64) + heads)
     itype = np.int32 if max(n, tails.size) < 2**31 else np.int64
     degrees = np.bincount(tails, minlength=n)
     indptr = np.zeros(n + 1, dtype=itype)
@@ -352,12 +352,13 @@ def _from_arcs(n: int, directed: bool, tails, heads, weights,
                **fields) -> Graph:
     """The Graph of the arcs tails -> heads (edges, when undirected),
     with self-loops dropped and duplicates collapsed to their first
-    occurrence, both counted."""
+    occurrence, both counted. The ends may be int32 or int64 arrays."""
     keep = tails != heads
     tails, heads, weights = tails[keep], heads[keep], weights[keep]
     lo, hi = (tails, heads) if directed else \
         (np.minimum(tails, heads), np.maximum(tails, heads))
-    _, first = np.unique(lo * n + hi, return_index=True)
+    _, first = np.unique(np.multiply(lo, n, dtype=np.int64) + hi,
+                         return_index=True)
     loops, dups = keep.size - tails.size, tails.size - first.size
     tails, heads, weights = tails[first], heads[first], weights[first]
     if directed:

@@ -147,7 +147,9 @@ def _row_cells(row) -> tuple:
 def emit_results(rows, fmt: str = "csv", path=None) -> str:
     """Serialize attack rows; returns the payload, writes it when `path`
     is given. Row order: metric, then phi ascending, then run ascending;
-    floats carry 6 significant digits."""
+    floats carry 6 significant digits, but `elapsed_ms` is whole
+    milliseconds in CSV and milliseconds to 3 decimals in JSON, where a
+    sub-millisecond step does not read 0."""
     ordered = sorted(rows, key=lambda r: (r.metric, r.phi, r.run))
     if fmt == "csv":
         lines = [CSV_HEADER]
@@ -163,7 +165,7 @@ def emit_results(rows, fmt: str = "csv", path=None) -> str:
                 "run": int(cells[2]),
                 "giant_frac": float(cells[3]),
                 "infected_frac": None if cells[4] == "" else float(cells[4]),
-                "elapsed_ms": int(cells[5]),
+                "elapsed_ms": round(float(r.elapsed_ms), 3),
             })
         payload = json.dumps(records, indent=2) + "\n"
     else:

@@ -12,7 +12,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import GraphInputError
-from .graph import Graph, components, row_positions
+from .graph import Graph, _from_arcs, components, row_positions
 from .params import ScoreVector
 
 
@@ -44,7 +44,7 @@ class AttackPlan:
             raise GraphInputError("phi_grid must be a list of numbers, not "
                                   f"{self.phi_grid!r}")
         try:
-            grid = sorted(float(x) for x in self.phi_grid)
+            grid = sorted({float(x) for x in self.phi_grid})
         except (TypeError, ValueError) as exc:
             raise GraphInputError(f"phi_grid must hold numbers: {exc}") from exc
         if not all(0.0 <= x <= 1.0 for x in grid):
@@ -116,31 +116,110 @@ def non_infectious_attack(g: Graph, ordering=None, seed_set=None,
     The ordering is computed once on the intact graph; the giant
     fraction is normalized by the original node count. A phi=0 row is
     always emitted.
+
+    The points come from block contraction, as in reverse percolation
+    (Newman & Ziff, PRL 85, 4104, 2000). Nodes are relabelled by
+    removal position, and the edges of `Graph._edges` are sorted once by
+    the position of their earlier-removed end, so the edges that return
+    at each point are one slice. The grid is walked from the largest
+    prefix down to none. At each point one `components` call labels a
+    small graph: the block of nodes that return there, plus each
+    existing component they touch, contracted to one node (`_from_arcs`
+    drops the parallel edges this makes). The giant is the larger of the
+    previous point's giant and the largest merged size. Each row's
+    `elapsed_ms` is the time of its own step; the row of the largest
+    prefix, the first step, also carries the sort.
     """
     n = g.n
     if seed_set is not None:
         prefix = _node_ids(g, seed_set, "seed_set")
         phis = sorted({0.0, len(prefix) / n if n else 0.0})
+        ks = [len(prefix) if phi > 0 else 0 for phi in phis]
     else:
         if ordering is None or len(ordering) != n:
             raise GraphInputError("ordering must cover every node")
         prefix = _node_ids(g, ordering, "ordering")
         phis = sorted(set(phi_grid) | {0.0})
+        ks = [removal_count(phi, n) for phi in phis]
+    start = time.perf_counter()
+    # components, by id: the id of each position's component when it
+    # returned, what each id merged into (itself while current), sizes.
+    # Made before the sort's temporaries, so that once freed those lie
+    # above them on the heap and can be given back to the system.
+    comp = np.empty(n, dtype=np.int32)
+    root = np.empty(n, dtype=np.int32)
+    size = np.empty(n, dtype=np.int32)
+    # the removal position of every node; the nodes a seed set leaves
+    # follow it, in id order
+    order = np.array(prefix, dtype=np.int32)
+    if order.size < n:
+        left = np.ones(n, dtype=bool)
+        left[order] = False
+        order = np.concatenate([order, np.flatnonzero(left)])
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    del order
+    # each edge as (earlier, later) end positions, bucketed by the point
+    # at which the earlier returns: point i puts back ends[i]:ends[i + 1]
+    tails, upper = g._edges
+    lo = pos.take(tails)
+    hi = pos.take(upper.indices)
+    del pos
+    later = np.maximum(lo, hi)
+    np.minimum(lo, hi, out=lo)
+    del hi
+    ends = ks + [n]
+    bucket = np.repeat(np.arange(len(ks), dtype=np.int32),
+                       np.diff(ends)).take(lo)
+    cuts = [0] + np.cumsum(np.bincount(bucket, minlength=len(ks))).tolist()
+    sort = np.argsort(bucket)
+    del bucket
+    lo = lo.take(sort)
+    hi = later.take(sort)
+    del later, sort
+    made = giant = 0
     rows = []
-    mask = bytearray(b"\x01") * n    # the removed prefix grows with phi
-    removed = 0
-    for phi in phis:
-        start = time.perf_counter()
-        k = len(prefix) if seed_set is not None and phi > 0 \
-            else removal_count(phi, n)
-        for v in prefix[removed:k]:
-            mask[v] = 0
-        removed = k
-        giant = components(g, mask=mask).giant_size / n if n else 0.0
+    for i in range(len(ks) - 1, -1, -1):
+        k, top = ends[i], ends[i + 1]
+        block = top - k
+        tail, head = lo[cuts[i]:cuts[i + 1]] - k, hi[cuts[i]:cuts[i + 1]]
+        old = head >= top       # the later end returned at an earlier step
+        touched, local = np.unique(
+            _current(root, comp.take(head.compress(old))),
+            return_inverse=True)
+        head = head - k
+        head[old] = block + local
+        small = _from_arcs(block + touched.size, False, tail, head,
+                           np.ones(tail.size))
+        labels = components(small).labels
+        merged = np.bincount(labels, np.concatenate(
+            [np.ones(block), size.take(touched)])).astype(np.int32)
+        labels += made          # the merged components take the next ids
+        comp[k:top] = labels[:block]
+        root[touched] = labels[block:]
+        new = np.arange(made, made + merged.size)
+        root[new] = new
+        size[new] = merged
+        made += merged.size
+        giant = max(giant, int(merged.max(initial=0)))
         elapsed = (time.perf_counter() - start) * 1000.0
-        rows.append(AttackOutcome(metric, phi, 0, giant, seeds=k,
+        rows.append(AttackOutcome(metric, phis[i], 0,
+                                  giant / n if n else 0.0, seeds=k,
                                   elapsed_ms=elapsed))
-    return rows
+        start = time.perf_counter()
+    return rows[::-1]
+
+
+def _current(root, ids):
+    """The current component of each id: `root` followed to a fixed
+    point, and every id read pointed straight at it."""
+    start = ids
+    while True:
+        up = root.take(ids)
+        if np.array_equal(up, ids):
+            root[start] = ids
+            return ids
+        ids = up
 
 
 def infectious_attack(g: Graph, seeds, beta: float,

@@ -682,6 +682,34 @@ def slice_components(g, mode="weak", mask=None):
     return comp, sizes, max(sizes, default=0)
 
 
+def non_infectious_rows(g, ordering=None, seed_set=None, phi_grid=(0.0,)):
+    """(phi, seeds, giant fraction) per point, phi ascending, of the
+    per-point mask loop: the removed prefix grows with phi, and every
+    point labels the whole masked graph with one `components` call."""
+    from centnet import components
+    from centnet.resilience import removal_count
+
+    n = g.n
+    if seed_set is not None:
+        prefix = list(seed_set)
+        phis = sorted({0.0, len(prefix) / n if n else 0.0})
+    else:
+        prefix = list(ordering)
+        phis = sorted(set(phi_grid) | {0.0})
+    rows = []
+    mask = bytearray(b"\x01") * n
+    removed = 0
+    for phi in phis:
+        k = len(prefix) if seed_set is not None and phi > 0 \
+            else removal_count(phi, n)
+        for v in prefix[removed:k]:
+            mask[v] = 0
+        removed = k
+        giant = components(g, mask=mask).giant_size / n if n else 0.0
+        rows.append((phi, k, giant))
+    return rows
+
+
 # -- graph construction and the SIR cascade, on tuple adjacency ---------------
 
 

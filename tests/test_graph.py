@@ -107,6 +107,23 @@ class TestBuildGraph:
         assert g.n == 3
         assert g.degree(2) == 0
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_int32_ends_past_the_int32_key(self, directed):
+        # with n = 60000, tail * n + head passes 2**31: keyed in int32 it
+        # would wrap, and the ids (1, 59999) and (59999, 1) would sort
+        # and collapse wrongly
+        n = 60_000
+        ends = np.array([[1, n - 1], [n - 1, 1], [1, n - 1], [n - 1, 0]],
+                        dtype=np.int32)
+        g = graph._from_arcs(n, directed, ends[:, 0], ends[:, 1],
+                             np.ones(4))
+        arcs = [(v, u) for v in range(n) for u in g.out_csr.row(v)]
+        if directed:
+            assert arcs == [(1, n - 1), (n - 1, 0), (n - 1, 1)]
+        else:
+            assert arcs == [(0, n - 1), (1, n - 1), (n - 1, 0), (n - 1, 1)]
+        assert g.duplicates_collapsed == (1 if directed else 2)
+
 
 class TestShortestPaths:
     def test_p3(self, p3):

@@ -197,6 +197,18 @@ class TestEmitResults:
         again = cio.emit_results(self.rows(), "json")
         assert payload == again
 
+    def test_sub_millisecond_elapsed(self):
+        # JSON keeps the time to the microsecond, so a fast step does not
+        # read 0; the CSV column stays whole milliseconds
+        rows = [AttackOutcome("degree", 0.1, 0, 0.5, seeds=1,
+                              elapsed_ms=0.2346),
+                AttackOutcome("degree", 0.2, 0, 0.4, seeds=2,
+                              elapsed_ms=12.2)]
+        records = json.loads(cio.emit_results(rows, "json"))
+        assert [r["elapsed_ms"] for r in records] == [0.235, 12.2]
+        lines = cio.emit_results(rows, "csv").strip().split("\n")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0", "12"]
+
     def test_write_and_unwritable(self, tmp_path):
         out = tmp_path / "r.csv"
         cio.emit_results(self.rows(), "csv", str(out))

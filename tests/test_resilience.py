@@ -81,6 +81,36 @@ class TestNonInfectious:
         rows = non_infectious_attack(s5, seed_set=[0])
         assert rows[-1].giant_fraction == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("grid", [
+        [i / 40 for i in range(21)],
+        [0.0001, 0.004, 0.0996, 0.1, 0.1],      # removal counts repeat
+        [1.0],
+        None])                                   # a seed set instead
+    def test_one_components_call_per_row(self, monkeypatch, grid):
+        # the benchmark's dismantle pin: graph.components.calls equals
+        # attack.points
+        import centnet.resilience
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(centnet.resilience, "components", counted)
+        g = build_graph(ba_edges(500, 3, 1))
+        order = list(range(g.n))
+        random.Random(1).shuffle(order)
+        if grid is None:
+            rows = non_infectious_attack(g, seed_set=order[:100])
+        else:
+            rows = non_infectious_attack(g, ordering=order, phi_grid=grid)
+        assert len(calls) == len(rows) > 1
+        calls.clear()
+        plan = AttackPlan("random", [], grid or [0.2], runs=2)
+        rows = run_experiment(plan, g).rows
+        assert len(calls) == len(rows)
+
     def test_bad_ordering(self, p3):
         with pytest.raises(GraphInputError):
             non_infectious_attack(p3, ordering=[0, 1], phi_grid=[0.5])
@@ -262,6 +292,16 @@ class TestRunExperiment:
             AttackPlan("infectious", [], [0.1], beta=1.5)
         with pytest.raises(GraphInputError):
             AttackPlan("infectious", [], [2.0])
+
+    @pytest.mark.parametrize("kind", ["non-infectious", "infectious"])
+    def test_repeated_phi_gives_one_row(self, kind):
+        # a repeated value used to stay in the grid, and an infectious
+        # plan ran its cascade and emitted its row once per copy
+        g = er_graph(30, 0.15, 7)
+        plan = AttackPlan(kind, ["degree"], [0.1, 0.1, 0.0, 0.1])
+        assert plan.phi_grid == [0.0, 0.1]
+        res = run_experiment(plan, g)
+        assert [(r.phi, r.run) for r in res.rows] == [(0.0, 0), (0.1, 0)]
 
     @pytest.mark.parametrize("grid", ["1", "15", 0.5])
     def test_phi_grid_must_be_a_list(self, grid):
