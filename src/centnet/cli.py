@@ -12,6 +12,7 @@ import time
 from . import io as cio
 from . import registry
 from .errors import CentnetError, GraphInputError
+from .params import ScoreVector
 from .resilience import rank_targets, run_experiment
 
 EXIT_OK = 0
@@ -90,7 +91,10 @@ def _cmd_graph_metric(args) -> int:
     g = _load(args)
     result = registry.compute_graph_metric(
         g, args.metric, _collect_params(args.param, args.seed))
-    if hasattr(result, "metric_id"):        # GraphMetricValue
+    if isinstance(result, ScoreVector):
+        for v in range(g.n):
+            print(f"{g.label_of(v)}\t{result[v]:.6g}")
+    else:
         value = result.value
         if isinstance(value, (tuple, list, set, frozenset)):
             members = sorted(g.label_of(v) for v in value)
@@ -102,9 +106,6 @@ def _cmd_graph_metric(args) -> int:
             print(f"  {k}: {v}")
         if result.skipped_pairs:
             print(f"  skipped_pairs: {result.skipped_pairs}")
-    else:                                   # per-node ScoreVector
-        for v in range(g.n):
-            print(f"{g.label_of(v)}\t{result[v]:.6g}")
     return EXIT_OK
 
 

@@ -101,8 +101,8 @@ def reciprocity(g: Graph) -> GraphMetricValue:
         raise UnsupportedGraphError("reciprocity needs a directed graph")
     if g.m == 0:
         return GraphMetricValue("reciprocity", 0.0)
-    a = g.adjacency(False)
-    return GraphMetricValue("reciprocity", a.multiply(a.T).nnz / g.m)
+    return GraphMetricValue("reciprocity", g.adjacency(False).multiply(
+        g.reversed.adjacency(False)).nnz / g.m)
 
 
 # -- cohesive subgroups -------------------------------------------------------

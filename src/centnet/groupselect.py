@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import GraphInputError
 from .graph import INF, Graph, shortest_paths
-from .neighborhoods import ball_sums
+from .neighborhoods import ball_sums, closed_operator
 from .params import GroupSelectParams
 
 
@@ -61,7 +60,7 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
     params = params or GroupSelectParams()
     if params.budget > g.n:
         raise GraphInputError("budget exceeds node count")
-    deg = np.array(g.degrees(), dtype=float)
+    deg = g.degree_array.astype(float)
     nearest = np.full(g.n, INF)         # distance from the nearest seed
     is_seed = np.zeros(g.n, dtype=bool)
     seeds: list[int] = []
@@ -144,7 +143,7 @@ def _greedy(g: Graph, budget: int, score, absorb, initial=(),
 def _discount(g: Graph, budget: int, score) -> SelectionResult:
     """Greedy on score(deg, t), t[u] the count of u's neighbours
     (direction ignored) among the seeds."""
-    deg = np.array(g.degrees(), dtype=np.int64)
+    deg = g.degree_array
     nbr = g.undirected_adjacency
     t = np.zeros(g.n, dtype=np.int64)
 
@@ -178,8 +177,8 @@ def degree_punishment(g: Graph, budget: int, omega: float = 0.05,
         raise GraphInputError("r must be >= 2")
     if not 0.0 <= omega <= 1.0:
         raise GraphInputError("omega must lie in [0,1]")
-    deg = np.array(g.degrees(), dtype=np.int64)
-    walk_step = g.adjacency(False).T
+    deg = g.degree_array
+    walk_step = g.reversed.adjacency(False)
     penalty = np.zeros(g.n)        # sum over seeds of p_{u -> v}
 
     def absorb(v: int):
@@ -199,10 +198,10 @@ def degree_punishment(g: Graph, budget: int, omega: float = 0.05,
 
 class _Residual:
     """The graph with direction ignored, less the removed nodes: `op`
-    is Graph.undirected_adjacency plus the identity, 0/1 int64, with the
-    removed nodes' columns zeroed, so a product with it steps from alive
-    nodes to the alive nodes within one hop (scipy drops zero sums).
-    `deg` holds residual degrees (exact for alive nodes)."""
+    is `neighborhoods.closed_operator`, A + I, with the removed nodes'
+    columns zeroed, so a product with it steps from alive nodes to the
+    alive nodes within one hop (scipy drops zero sums). `deg` holds
+    residual degrees (exact for alive nodes)."""
 
     def __init__(self, g: Graph):
         sym = g.undirected_adjacency
@@ -210,8 +209,7 @@ class _Residual:
         self.deg = np.diff(sym.indptr)
         self.mean_deg = sym.nnz / g.n if g.n else 0.0
         self.alive = np.ones(g.n, dtype=bool)
-        self.op = (sym + scipy.sparse.identity(g.n, format="csr")).astype(
-            np.int64)
+        self.op = closed_operator(g)
         # position of the stored (w, v) for each stored (v, w)
         tails = np.repeat(np.arange(g.n), np.diff(self.op.indptr))
         self._mirror = np.lexsort((tails, self.op.indices))

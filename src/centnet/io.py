@@ -186,7 +186,6 @@ def emit_results(rows, fmt: str = "csv", path=None) -> str:
 class ExperimentConfig:
     input_path: str
     directed: bool
-    metrics: list
     attack: AttackPlan
     output_path: str | None = None
     output_format: str = "csv"
@@ -204,11 +203,10 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(data.get("attack", {}), dict):
         raise GraphInputError(f"config {path}: attack must be an object")
     try:
-        attack_raw = dict(data["attack"])
-        sources = data.get("metrics", attack_raw.pop("sources", []))
+        attack_raw = data["attack"]
         plan = AttackPlan(
             kind=attack_raw.get("kind", "non-infectious"),
-            sources=sources,
+            sources=data.get("metrics", attack_raw.get("sources", [])),
             phi_grid=attack_raw.get("phi_grid", [0.0]),
             beta=attack_raw.get("beta", 0.05),
             runs=attack_raw.get("runs", 1),
@@ -217,7 +215,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig(
             input_path=data["input_path"],
             directed=bool(data.get("directed", False)),
-            metrics=sources,
             attack=plan,
             output_path=data.get("output_path"),
             output_format=data.get("output_format", "csv"),

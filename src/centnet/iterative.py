@@ -60,7 +60,8 @@ def _peel(g: Graph, lam: float) -> tuple[np.ndarray, np.ndarray]:
     a = g.adjacency(weighted=False)
     # row v: v's neighbours, each with its number of arcs to or from v,
     # so a reciprocal pair counts twice and a row sums to the total degree
-    op = ((a + a.T).tocsr() if g.directed else a).astype(np.int64)
+    op = (a + g.reversed.adjacency(False) if g.directed else a).astype(
+        np.int64)
     ptr, nbrs, arcs = op.indptr, op.indices, op.data
     degree = np.asarray(op.sum(axis=1)).ravel()
     residual = degree.copy()      # exhausted degree: degree - residual
@@ -137,11 +138,10 @@ def _aggregation(g: Graph, aggregate: str = "in", weighted: bool = True,
     dissimilarity of the two endpoints' undirected neighborhoods,
     1 - common / (deg_u + deg_v - common), common from `closed_wedges`.
     """
-    a = g.adjacency(weighted)
     if not g.directed or aggregate == "out":
-        m = a
+        m = g.adjacency(weighted)
     elif aggregate == "in":
-        m = a.T.tocsr()
+        m = g.reversed.adjacency(weighted)
     else:
         raise GraphInputError(f"unknown aggregation {aggregate!r}")
     if dissimilarity:
@@ -216,9 +216,8 @@ def _pagerank(g: Graph, params: MetricParams,
     n = g.n
     if n == 0:
         return score_vector("pagerank", [])
-    a = g.adjacency(weighted=False)
-    m = a.T.tocsr()
-    outdeg = np.maximum(np.diff(a.indptr), 1)
+    m = g.reversed.adjacency(False)
+    outdeg = np.maximum(g.out_csr.degrees, 1)
     x = fixed_point(lambda x: beta + alpha * (m @ (x / outdeg)),
                     np.full(n, beta), params.tol, params.max_iter,
                     "pagerank")
@@ -285,8 +284,7 @@ def hits(g: Graph, tol: float = 1e-10,
         warnings.warn("hits on an edgeless graph: uniform fallback")
         u = [1.0 / np.sqrt(n)] * n if n else []
         return (score_vector("authority", u), score_vector("hub", u))
-    a = g.adjacency()
-    at = a.T.tocsr()
+    a, at = g.adjacency(), g.reversed.adjacency()
 
     def step(z):
         # z stacks (authority, hub); each update reads the newest other
@@ -304,10 +302,8 @@ def salsa(g: Graph, tol: float = 1e-10,
     hub/authority expansion; each side sums to 1, absent nodes score 0."""
     if not g.directed:
         raise UnsupportedGraphError("salsa needs a directed graph")
-    a = g.adjacency(weighted=False)
-    at = a.T.tocsr()
-    outdeg = np.diff(a.indptr)
-    indeg = np.diff(at.indptr)
+    a, at = g.adjacency(False), g.reversed.adjacency(False)
+    outdeg, indeg = g.out_csr.degrees, g.in_csr.degrees
 
     def stationary(side_deg, there, other_deg, back):
         # walk a side node along `there` to the other side and `back`
@@ -337,9 +333,8 @@ def leader_rank(g: Graph, tol: float = 1e-10,
     n = g.n
     if n == 0:
         return score_vector("leaderrank", [])
-    a = g.adjacency(weighted=False)
-    m = a.T.tocsr()
-    outdeg = np.diff(a.indptr) + 1.0
+    m = g.reversed.adjacency(False)
+    outdeg = g.out_csr.degrees + 1.0
 
     def step(s):
         # s[n] is the ground node, linked both ways to every node

@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .errors import GraphInputError, UnsupportedGraphError
 from .graph import Graph
-from .neighborhoods import ball_sums, closed_wedges
+from .neighborhoods import ball_sums, closed_operator, closed_wedges
 from .params import MetricParams, ScoreVector, score_vector
 
 
@@ -42,12 +41,13 @@ def degree_family(g: Graph, mode: str = "total",
 # -- neighborhood balls ---------------------------------------------------
 
 
-def _semi_local(a) -> np.ndarray:
-    """A @ (A @ d2), d2 the nearest plus next-nearest neighbour count of
-    every node: the entries of A + A @ A off the diagonal, row by row.
-    Every sum adds integers, so it is exact."""
-    b = a + a @ a
-    return a @ (a @ (np.diff(b.indptr) - (b.diagonal() > 0)))
+def _semi_local(g: Graph) -> np.ndarray:
+    """A @ (A @ d2), d2 the count of nodes within two hops of each node,
+    the node itself left out. Every sum adds integers, so it is exact."""
+    a = g.adjacency(False)
+    d2 = ball_sums(closed_operator(g), np.arange(g.n), 2,
+                   np.ones(g.n, dtype=np.int64))[1] - 1
+    return a @ (a @ d2)
 
 
 def neighborhood_degree_family(g: Graph, metric: str,
@@ -56,22 +56,21 @@ def neighborhood_degree_family(g: Graph, metric: str,
     _require_undirected(g, metric)
     params = params or MetricParams()
     if metric == "semi-local":
-        return score_vector("semi-local", _semi_local(g.adjacency(False)))
+        return score_vector("semi-local", _semi_local(g))
     if metric == "hybrid-degree":
         alpha = 1000.0 if params.alpha is None else params.alpha
         beta = 0.1 if params.beta is None else params.beta
         p = params.p
         a, deg = g.adjacency(False), g.degree_array
-        m_local = _semi_local(a) - 2 * (a @ deg)
+        m_local = _semi_local(g) - 2 * (a @ deg)
         vals = (beta - p) * alpha * deg + p * m_local
         return score_vector("hybrid-degree", vals,
                             {"alpha": alpha, "beta": beta, "p": p})
     if metric == "volume":
         # the summed degree within h hops, less the node's own
-        op = (g.adjacency(False) + scipy.sparse.identity(g.n, format="csr")
-              ).astype(np.int64)
         deg = g.degree_array
-        vals = ball_sums(op, np.arange(g.n), params.h, deg)[1] - deg
+        vals = ball_sums(closed_operator(g), np.arange(g.n), params.h,
+                         deg)[1] - deg
         return score_vector("volume", vals, {"h": params.h})
     raise GraphInputError(f"unknown neighborhood metric {metric!r}")
 

@@ -1,11 +1,19 @@
 """Neighbourhood counts over the adjacency: common neighbours per arc and
 sums over h-hop balls, in blocks that `graph.cut_blocks` cuts from the
-one budget `graph._BLOCK_ENTRIES`."""
+one budget `graph._BLOCK_ENTRIES`. The balls step over the closed
+operator A + I that `closed_operator` builds."""
 
 import numpy as np
 import scipy.sparse
 
-from .graph import cut_blocks, row_positions
+from .graph import Graph, cut_blocks, row_positions
+
+
+def closed_operator(g: Graph) -> scipy.sparse.csr_matrix:
+    """A + I over `Graph.undirected_adjacency`: direction ignored, 0/1
+    int64, a new object on each call, so a caller may zero its entries."""
+    return (g.undirected_adjacency + scipy.sparse.identity(g.n, format="csr")
+            ).astype(np.int64)
 
 
 def ball_sums(op, rows, radius: int, x) -> tuple[np.ndarray, np.ndarray]:

@@ -93,16 +93,20 @@ def rank_targets(scores: ScoreVector) -> list[int]:
     return np.lexsort((np.arange(len(vals)), -vals)).tolist()
 
 
-def _node_ids(g: Graph, ids, what: str, distinct: bool = True) -> list:
-    """`ids` as a list of node ids of g, none repeated if `distinct`."""
-    ids = list(ids)
-    arr = np.asarray(ids)
-    if ids and (arr.dtype.kind not in "iu" or arr.min() < 0
-                or arr.max() >= g.n):
+def _node_ids(g: Graph, ids, what: str, distinct: bool = True) -> np.ndarray:
+    """`ids` as an int array of node ids of g, none repeated if
+    `distinct`."""
+    arr = np.asarray(ids if isinstance(ids, (list, tuple, np.ndarray))
+                     else list(ids))
+    if not arr.size:
+        return np.empty(0, dtype=np.intp)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 \
+            or arr.max() >= g.n:
         raise GraphInputError(f"{what} must be node ids in [0, {g.n})")
-    if distinct and len(set(ids)) < len(ids):
+    arr = arr.astype(np.intp, copy=False)
+    if distinct and np.bincount(arr).max() > 1:
         raise GraphInputError(f"{what} repeats a node")
-    return ids
+    return arr
 
 
 def removal_count(phi: float, n: int) -> int:
@@ -151,7 +155,7 @@ def non_infectious_attack(g: Graph, ordering=None, seed_set=None,
     size = np.empty(n, dtype=np.int32)
     # the removal position of every node; the nodes a seed set leaves
     # follow it, in id order
-    order = np.array(prefix, dtype=np.int32)
+    order = prefix.astype(np.int32)
     if order.size < n:
         left = np.ones(n, dtype=bool)
         left[order] = False
@@ -238,8 +242,8 @@ def infectious_attack(g: Graph, seeds, beta: float,
     """
     if not 0.0 <= beta <= 1.0:
         raise GraphInputError("beta must lie in [0,1]")
-    seeds = sorted(set(_node_ids(g, seeds, "seeds", distinct=False)))
-    if not seeds:
+    seeds = np.unique(_node_ids(g, seeds, "seeds", distinct=False))
+    if not seeds.size:
         raise GraphInputError("infectious attack needs at least one seed")
     n = g.n
     start = time.perf_counter()
@@ -247,7 +251,7 @@ def infectious_attack(g: Graph, seeds, beta: float,
     rows = g.out_csr
     attempted = np.zeros(n, dtype=bool)
     ever = np.zeros(n, dtype=bool)          # ever infected: R at the end
-    infected = np.array(seeds)
+    infected = seeds
     attempted[infected] = ever[infected] = True
     while infected.size:
         # the out-arcs of the infected nodes, in list order; each head

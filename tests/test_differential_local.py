@@ -229,6 +229,12 @@ def test_semi_local_and_hybrid_degree_loops(kind):
         oracles.hybrid_degree(g, 3.0, 0.5, 0.2)
 
 
+@pytest.mark.parametrize("kind", UNDIRECTED)
+def test_semi_local_and_hybrid_degree_in_small_blocks(kind, small_blocks):
+    """A block of two-hop balls holds mostly one row."""
+    test_semi_local_and_hybrid_degree_loops(kind)
+
+
 @pytest.mark.parametrize("small", [False, True])
 @pytest.mark.parametrize("h", [1, 2, 5])
 @pytest.mark.parametrize("kind", UNDIRECTED + ("pendants",))

@@ -124,6 +124,20 @@ class TestBuildGraph:
             assert arcs == [(0, n - 1), (1, n - 1), (n - 1, 0), (n - 1, 1)]
         assert g.duplicates_collapsed == (1 if directed else 2)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_reversed_adjacency_is_the_transpose(self, directed, weighted):
+        # the modules read in-rows from `reversed`, never transposing
+        rng = random.Random(4)
+        g = build_graph([(rng.randrange(300), rng.randrange(300),
+                          rng.uniform(0.5, 4.0)) for _ in range(1500)],
+                        directed=directed, isolated=range(300))
+        a = g.adjacency(weighted).T.tocsr()
+        r = g.reversed.adjacency(weighted)
+        for x, y in ((a.indptr, r.indptr), (a.indices, r.indices),
+                     (a.data, r.data)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
 
 class TestShortestPaths:
     def test_p3(self, p3):

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -346,6 +347,17 @@ class TestCli:
         assert rc == 0
         assert "global-clustering: 0" in capsys.readouterr().out
 
+    def test_per_node_graph_metric(self, p3_file, capsys):
+        # a ScoreVector has a metric_id too, so it used to take the
+        # whole-graph branch and crash on `.value`
+        rc = cli_mod.main(["graph-metric", p3_file, "--metric",
+                           "local-assortativity"])
+        assert rc == 0
+        rows = [line.split("\t") for line in
+                capsys.readouterr().out.splitlines()]
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        assert all(len(r) == 2 and math.isfinite(float(r[1])) for r in rows)
+
     def test_select(self, p3_file, capsys):
         rc = cli_mod.main(["select", p3_file, "--strategy",
                            "degree-discount", "--budget", "2"])
@@ -435,3 +447,26 @@ def test_every_advertised_metric_runs_on_small_corpus(atlas_sample):
             except CentnetError:
                 continue
         assert succeeded >= 1, f"{mid} failed on both graph kinds"
+
+
+def test_every_advertised_id_runs_through_the_cli(atlas_sample, tmp_path):
+    """Every point id, graph-metric id and strategy id, on a small
+    undirected and a small directed edge list, ends in an exit code:
+    0, or 1/2 for a refusal, never an exception."""
+    base = atlas_sample[30]
+    undirected = tmp_path / "undirected.txt"
+    undirected.write_text("".join(f"{v} {u}\n" for v in range(base.n)
+                                  for u, _ in base.adj[v] if v < u))
+    directed = tmp_path / "directed.txt"
+    directed.write_text("0 1\n1 2\n2 0\n0 2\n3 0\n")
+    runs = [["centrality", "--metric", mid]
+            + (["--param", "si_runs=3"] if mid == "ahp" else [])
+            for mid in registry.point_metric_ids()]
+    runs += [["graph-metric", "--metric", mid]
+             for mid in registry.graph_metric_ids()]
+    runs += [["select", "--strategy", sid, "--budget", "2"]
+             for sid in registry.strategy_ids()]
+    for path, flags in ((undirected, []), (directed, ["--directed"])):
+        for run in runs:
+            argv = [run[0], str(path), *flags, *run[1:]]
+            assert cli_mod.main(argv) in (0, 1, 2), argv
