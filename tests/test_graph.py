@@ -23,8 +23,8 @@ from centnet.graph import DENSE_CAP, all_distances, spectral_radius, \
     traverse
 from centnet.graphmetrics import delta_hyperbolicity
 from centnet.iterative import eigen_family, subgraph_centrality
-from conftest import complete_graph, path_graph, star_graph
-from _synth import er_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from _synth import ba_edges, ba_graph, er_graph
 
 
 class TestBuildGraph:
@@ -230,6 +230,74 @@ class TestShortestPaths:
         assert shortest_paths(g, 0).dist == [0.0, 1.0, 2.0]
         assert shortest_paths(g, 2).dist[0] == math.inf
         assert shortest_paths(g, 2, reverse=True).dist == [2.0, 1.0, 0.0]
+
+
+
+def _oriented_ba(n, seed):
+    rng = random.Random(seed)
+    return build_graph([(u, v) if rng.random() < 0.5 else (v, u)
+                        for u, v in ba_edges(n, 3, seed)], directed=True)
+
+
+SWEEP_GRAPHS = {
+    "ba": lambda: ba_graph(300, 3, 1),
+    "directed-ba": lambda: _oriented_ba(300, 2),
+    "sparse-er": lambda: er_graph(200, 0.008, 3),
+    "ring-64": lambda: cycle_graph(64),
+}
+
+
+def _level_sweeps(g, limit):
+    """Level sweeps over range(n) in blocks of at least two sources,
+    sized from the block budget, each with its block."""
+    a = g.adjacency()
+    b = max(2, graph._BLOCK_ENTRIES // max(g.n, a.nnz))
+    for i in range(0, g.n, b):
+        block = np.arange(i, min(i + b, g.n))
+        yield graph._LevelSweep(a, g.reversed.adjacency(), g.arc_tails,
+                                block, limit), block
+
+
+def _backward(t):
+    """Brandes dependencies and Goh's load of one block."""
+    return (t.accumulate(t.sigma, graph.reciprocal(t.sigma)),
+            t.accumulate(1.0, graph.reciprocal(t.pred_count())))
+
+
+class TestSweepsAgree:
+    """The level sweep and the distance-ordered sweep on the same source
+    blocks: equal distances, path counts and predecessor counts, and
+    backward sweeps that agree to rounding, with Brandes and load
+    weights."""
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("cap", [None, 2.0])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_GRAPHS))
+    def test_same_results(self, kind, cap, small, request):
+        if small:
+            request.getfixturevalue("small_blocks")
+        g = SWEEP_GRAPHS[kind]()
+        limit = math.inf if cap is None else cap * (1.0 + graph.TIE_RTOL)
+        for lv, block in _level_sweeps(g, limit):
+            assert lv.complete
+            od = graph._OrderedSweep(g.adjacency(), g.arc_tails, block,
+                                     limit)
+            assert np.array_equal(lv.dist, od.dist)
+            assert np.array_equal(lv.sigma, od.sigma)
+            assert np.array_equal(lv.pred_count(), od.pred_count())
+            for x, y in zip(_backward(lv), _backward(od)):
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_ring_depth(self, small, request):
+        # every source of a 64-ring reaches its farthest node at depth
+        # 32, which the level sweep still takes; a 66-ring needs 33
+        if small:
+            request.getfixturevalue("small_blocks")
+        for lv, _ in _level_sweeps(cycle_graph(64), math.inf):
+            assert lv.complete and lv.depth == graph._MAX_LEVELS
+        for lv, _ in _level_sweeps(cycle_graph(66), math.inf):
+            assert not lv.complete
 
 
 class TestComponents:
