@@ -161,12 +161,10 @@ def _grounded_inverse(sub) -> np.ndarray:
     return np.pad(solve_linear(lap[:-1, :-1]), (0, 1))
 
 
-def _component_nodes(g: Graph) -> list[list[int]]:
+def _component_nodes(g: Graph) -> list[np.ndarray]:
     lab = components(g)
-    out: list[list[int]] = [[] for _ in lab.sizes]
-    for v, c in enumerate(lab.component_id):
-        out[c].append(v)
-    return out
+    order = np.argsort(lab.labels, kind="stable")
+    return np.split(order, np.cumsum(lab.sizes)[:-1])
 
 
 def current_flow_betweenness(g: Graph,
@@ -351,10 +349,9 @@ def improved_method(g: Graph, with_diagnostics: bool = False):
         theta = (ks_max - shell[v] + 1) * total
         rows.append((v, shell[v], theta))
     rows.sort(key=lambda r: (-r[1], r[2], r[0]))
-    ranked = [(v, s, t) for v, s, t in rows]
     if with_diagnostics:
-        return ranked, {"skipped_pairs": skipped}
-    return ranked
+        return rows, {"skipped_pairs": skipped}
+    return rows
 
 
 def improved_method_scores(g: Graph) -> ScoreVector:

@@ -17,8 +17,10 @@ metrics read. `Graph.adj`, the out-rows as tuples, is derived only when
 read; no metric reads it.
 
 `traverse` runs shortest paths from a block of sources at a time. On
-unit weights, while the search stays shallow, it is a
-level-synchronous BFS of sparse x dense-block products. Otherwise
+unit weights, while the search stays shallow, it is a level-synchronous
+BFS of sparse x dense-block products that keeps one bool mask per level:
+predecessors are counted with one product per level, and the backward
+sweep and, on first read, the distances come from the masks. Otherwise
 scipy's Dijkstra gives the distances, and the shortest-path DAG (arcs
 whose d(u) + w ties d(v) under `TIE_RTOL`), ordered by distance, turns
 path counts and the backward sweep into sparse triangular solves, at a
@@ -156,8 +158,6 @@ class Graph:
 
     def all_neighbors(self, v: int) -> list[int]:
         """Neighbors ignoring direction (sorted, deduplicated)."""
-        if not self.directed:
-            return self.neighbors(v)
         sym = self.undirected_adjacency
         return sym.indices[sym.indptr[v]:sym.indptr[v + 1]].tolist()
 
@@ -239,10 +239,10 @@ class Graph:
 
     @cached_property
     def _edges(self) -> tuple:
-        """(row of each entry, operator): the upper triangle of
-        `undirected_adjacency`, which holds each undirected edge once."""
-        upper = scipy.sparse.triu(self.undirected_adjacency, 1, "csr")
-        return np.repeat(np.arange(self.n), np.diff(upper.indptr)), upper
+        """(row of each entry, upper triangle): each undirected edge once."""
+        a, rows = self.undirected_adjacency, np.arange(self.n)
+        upper = _kept(a, a.indices > np.repeat(rows, np.diff(a.indptr)))
+        return np.repeat(rows, np.diff(upper.indptr)), upper
 
     @cached_property
     def arc_tails(self) -> np.ndarray:
@@ -429,49 +429,47 @@ class Traversal:
 class _LevelSweep(Traversal):
     """Unit weights: a level-synchronous BFS of sparse x dense-block
     products, where the DAG arcs are the arcs from level l-1 to l.
-    `complete` is False when the BFS stopped at _MAX_LEVELS."""
+    `masks[l]` is level l as a bool (n, b) array, at most _MAX_LEVELS + 1
+    bytes per entry (4.3 MB at the _BLOCK_ENTRIES budget); predecessor
+    counts, one product per level, the backward sweep and `dist`, built
+    on first read, come from them. `complete` is False when the BFS
+    stopped at _MAX_LEVELS."""
 
-    def __init__(self, a, at, tails, sources, limit):
-        n, b = a.shape[0], len(sources)
-        cols = np.arange(b)
-        self.a, self.tails, self.sources = a, tails, sources
-        self.level = np.full((n, b), -1, dtype=np.int32)
-        self.level[sources, cols] = 0
-        self.sigma = np.zeros((n, b))
-        self.sigma[sources, cols] = 1.0
+    def __init__(self, a, at, sources, limit):
+        self.a, self.at, self.sources = a, at, sources
+        self.sigma = np.zeros((a.shape[0], len(sources)))
+        self.sigma[sources, np.arange(len(sources))] = 1.0
+        self.masks = [self.sigma > 0.0]
         frontier = self.sigma.copy()
-        self.depth = 0
         self.complete = True
-        while self.depth + 1 <= limit:
+        while len(self.masks) <= limit:
             reached = at @ frontier
-            new = (reached > 0.0) & (self.level < 0)
+            # sigma is non-zero exactly where the BFS has been
+            new = (reached > 0.0) & (self.sigma == 0.0)
             if not new.any():
                 break
-            if self.depth == _MAX_LEVELS:
+            if len(self.masks) > _MAX_LEVELS:
                 self.complete = False
                 return
-            self.depth += 1
-            self.level[new] = self.depth
-            frontier = np.where(new, reached, 0.0)
+            self.masks.append(new)
+            frontier = np.multiply(reached, new, out=reached)
             self.sigma += frontier
-        self.dist = np.where(self.level >= 0, self.level, INF)
+
+    @cached_property
+    def dist(self):
+        level = sum(lvl * mask for lvl, mask in enumerate(self.masks))
+        return np.where(self.sigma > 0.0, level, INF)
 
     def pred_count(self):
-        heads, preds = self.a.indices, np.zeros_like(self.dist)
-        # heads of the arcs from one level to the next, one source at a
-        # time so that the temporaries stay at one arc list
-        for j, lvl in enumerate(self.level.T):
-            lt = lvl[self.tails]
-            up = (lt >= 0) & (lvl[heads] == lt + 1)
-            preds[:, j] = np.bincount(heads[up], minlength=len(lvl))
-        return preds
+        return sum(((self.at @ up) * mask
+                    for up, mask in zip(self.masks, self.masks[1:])),
+                   np.zeros_like(self.sigma))
 
     def accumulate(self, left, right):
-        x = np.zeros_like(self.dist)
-        for lvl in range(self.depth, 1, -1):
-            c = np.where(self.level == lvl, right * (1.0 + x), 0.0)
-            x += left * np.where(self.level == lvl - 1, self.a @ c, 0.0)
-        x[self.sources, np.arange(len(self.sources))] = 0.0
+        x = np.zeros_like(self.sigma)
+        for lvl in range(len(self.masks) - 1, 1, -1):
+            c = (x + 1.0) * right * self.masks[lvl]
+            x += left * (self.a @ c) * self.masks[lvl - 1]
         return x
 
 
@@ -597,8 +595,7 @@ def traverse(g: Graph, sources, cap: float | None = None):
     for i in range(0, len(sources), b):
         block = sources[i:i + b]
         if levels:
-            t = _LevelSweep(a, g.reversed.adjacency(), g.arc_tails, block,
-                            limit)
+            t = _LevelSweep(a, g.reversed.adjacency(), block, limit)
             levels = t.complete
         if not levels:
             t = _OrderedSweep(a, g.arc_tails, block, limit)
@@ -686,19 +683,23 @@ def components(g: Graph, mode: str = "weak",
         if alive.shape != (g.n,):
             raise GraphInputError(
                 f"components mask has shape {alive.shape}, not ({g.n},)")
-        keep = alive.take(tails) & alive.take(a.indices)
-        ends = np.zeros(keep.size + 1, dtype=a.indptr.dtype)
-        np.cumsum(keep, out=ends[1:])
-        heads = a.indices.compress(keep)
-        # every entry of both operators is 1, so a prefix serves as data
-        a = scipy.sparse.csr_matrix(
-            (a.data[:heads.size], heads, ends.take(a.indptr)), shape=a.shape)
+        a = _kept(a, alive.take(tails) & alive.take(a.indices))
     count, labels = connected_components(a, directed=strong, connection=mode)
     sizes = np.bincount(labels.compress(alive), minlength=count)
     live = sizes > 0
     comp = np.where(alive, (np.cumsum(live) - 1).take(labels), -1)
     sizes = sizes[live].tolist()
     return ComponentLabeling(comp, sizes, max(sizes, default=0))
+
+
+def _kept(a, keep) -> scipy.sparse.csr_matrix:
+    """0/1 CSR operator `a` less its entries where `keep` is False;
+    every entry is 1, so a prefix of `a.data` serves as data."""
+    ends = np.zeros(keep.size + 1, dtype=a.indptr.dtype)
+    np.cumsum(keep, out=ends[1:])
+    heads = a.indices.compress(keep)
+    return scipy.sparse.csr_matrix(
+        (a.data[:heads.size], heads, ends.take(a.indptr)), shape=a.shape)
 
 
 def giant_fraction(g: Graph, mask=None, mode: str = "weak") -> float:

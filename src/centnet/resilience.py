@@ -89,8 +89,13 @@ class ExperimentResult:
 
 def rank_targets(scores: ScoreVector) -> list[int]:
     """Descending score, ascending node id on ties."""
+    return _ranking(scores).tolist()
+
+
+def _ranking(scores: ScoreVector) -> np.ndarray:
+    """`rank_targets` as an int array."""
     vals = np.asarray(scores.values, dtype=float)
-    return np.lexsort((np.arange(len(vals)), -vals)).tolist()
+    return np.lexsort((np.arange(len(vals)), -vals))
 
 
 def _node_ids(g: Graph, ids, what: str, distinct: bool = True) -> np.ndarray:
@@ -312,20 +317,17 @@ def _resolve_ordering(g: Graph, source, plan: AttackPlan):
                               and source.get("metric") == "random"):
         return None, None
     if isinstance(source, dict) and "strategy" in source:
-        budget = max((removal_count(phi, g.n) for phi in plan.phi_grid),
-                     default=0)
-        budget = max(budget, 1)
+        budget = max([1] + [removal_count(phi, g.n) for phi in plan.phi_grid])
         result = registry.run_strategy(g, source["strategy"], budget,
                                        source.get("params") or {})
-        order = list(result.seeds)
-        chosen = set(order)
-        padded = max(0, budget - len(order))
-        return order + [v for v in range(g.n) if v not in chosen], \
-            (result.stop_reason, padded)
+        seeds = np.asarray(result.seeds, dtype=np.intp)
+        rest = np.flatnonzero(np.bincount(seeds, minlength=g.n) == 0)
+        return np.concatenate([seeds, rest]), \
+            (result.stop_reason, max(0, budget - seeds.size))
     metric_id = source if isinstance(source, str) else source["metric"]
     overrides = {} if isinstance(source, str) else (source.get("params") or {})
     scores = registry.compute_point_metric(g, metric_id, overrides)
-    return rank_targets(scores), None
+    return _ranking(scores), None
 
 
 def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:

@@ -254,8 +254,8 @@ def _level_sweeps(g, limit):
     b = max(2, graph._BLOCK_ENTRIES // max(g.n, a.nnz))
     for i in range(0, g.n, b):
         block = np.arange(i, min(i + b, g.n))
-        yield graph._LevelSweep(a, g.reversed.adjacency(), g.arc_tails,
-                                block, limit), block
+        yield graph._LevelSweep(a, g.reversed.adjacency(), block,
+                                limit), block
 
 
 def _backward(t):
@@ -295,7 +295,7 @@ class TestSweepsAgree:
         if small:
             request.getfixturevalue("small_blocks")
         for lv, _ in _level_sweeps(cycle_graph(64), math.inf):
-            assert lv.complete and lv.depth == graph._MAX_LEVELS
+            assert lv.complete and lv.dist.max() == graph._MAX_LEVELS
         for lv, _ in _level_sweeps(cycle_graph(66), math.inf):
             assert not lv.complete
 
