@@ -232,7 +232,6 @@ class TestShortestPaths:
         assert shortest_paths(g, 2, reverse=True).dist == [2.0, 1.0, 0.0]
 
 
-
 def _oriented_ba(n, seed):
     rng = random.Random(seed)
     return build_graph([(u, v) if rng.random() < 0.5 else (v, u)
