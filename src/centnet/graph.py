@@ -8,9 +8,10 @@ Edmonds-Karp, and the linear-algebra layer.
 A `Graph` is read-only compressed rows (CSR arrays) of out- and
 in-neighbours. `build_graph` reads any iterable of edges once, checking
 each edge as it reads it and naming the first malformed one; it interns
-the labels in a dict as it goes, streams the ids into an array and
-builds the rows with numpy: self-loops dropped, duplicates collapsed to
-their first occurrence, each row sorted by neighbour id.
+the labels in a dict as it goes and streams the ids into an int32 array.
+`_from_arcs` builds both row sets with one sort and frees each temporary
+once read: self-loops dropped, duplicates collapsed to their first
+occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
 operator, which `components` (through scipy.sparse.csgraph) and the
 metrics read. `Graph.adj`, the out-rows as tuples, is derived only when
@@ -80,18 +81,16 @@ class CSR(NamedTuple):
         return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
 
 
-def _csr(n: int, tails, heads, weights) -> CSR:
-    """The rows of the distinct arcs tails -> heads, each sorted by head:
-    one argsort of the key tail * n + head, taken in int64 whatever the
-    ends' type (a lexsort of the two arrays takes several times longer).
-    Index arrays are int32 when they fit, the type scipy.sparse would
-    give them, so that `Graph.adjacency` wraps them as they are."""
-    order = np.argsort(np.multiply(tails, n, dtype=np.int64) + heads)
-    itype = np.int32 if max(n, tails.size) < 2**31 else np.int64
-    degrees = np.bincount(tails, minlength=n)
-    indptr = np.zeros(n + 1, dtype=itype)
-    indptr[1:] = np.cumsum(degrees)
-    rows = CSR(indptr, heads[order].astype(itype), weights[order], degrees)
+def _csr(n: int, keys, weights) -> CSR:
+    """The rows of the arcs keyed tail * n + head by `keys`, distinct and
+    ascending, with their weights: row v, sorted by head, ends where the
+    keys pass (v + 1) * n. `keys` is overwritten with the heads. Index
+    arrays are int32 when they fit, the type scipy.sparse would give
+    them, so that `Graph.adjacency` wraps them as they are."""
+    itype = np.int32 if max(n, keys.size) < 2**31 else np.int64
+    bounds = keys.searchsorted(np.arange(n + 1) * n)
+    heads = np.remainder(keys, n, out=keys).astype(itype)
+    rows = CSR(bounds.astype(itype), heads, weights, bounds[1:] - bounds[:-1])
     for arr in rows:
         arr.flags.writeable = False
     return rows
@@ -240,7 +239,8 @@ class Graph:
     @cached_property
     def _edges(self) -> tuple:
         """(row of each entry, upper triangle): each undirected edge once."""
-        a, rows = self.undirected_adjacency, np.arange(self.n)
+        a = self.undirected_adjacency
+        rows = np.arange(self.n, dtype=a.indices.dtype)
         upper = _kept(a, a.indices > np.repeat(rows, np.diff(a.indptr)))
         return np.repeat(rows, np.diff(upper.indptr)), upper
 
@@ -282,7 +282,8 @@ def build_graph(edges, directed: bool = False, isolated=(),
     `coordinates` maps label -> (x, y). Each edge is checked as it is
     read: the first malformed one raises GraphInputError naming its
     index, while an error raised by the iterator itself passes through
-    unchanged.
+    unchanged. The ids stream into an int32 array (n < 2**31) and the
+    weights into a float64 one, which `_from_arcs` reads as they are.
     """
     label_to_id: dict = {}
     intern = label_to_id.setdefault
@@ -304,7 +305,7 @@ def build_graph(edges, directed: bool = False, isolated=(),
             yield tail
             yield head
 
-    ids = np.fromiter(ends(), np.int64)
+    ids = np.fromiter(ends(), np.int32)
     for lbl in isolated:
         try:
             intern(lbl, len(label_to_id))
@@ -338,39 +339,53 @@ def _coords(coordinates, labels) -> tuple:
     return tuple(out)
 
 
-def graph_from_arcs(n: int, directed: bool, arcs,
-                    coords=None) -> Graph:
-    """Id-preserving constructor: the Graph of `arcs`, (u, v, w) with
-    0 <= u, v < n already deduplicated."""
-    arcs = np.array(list(arcs), dtype=float).reshape(-1, 3)
-    ends = arcs[:, :2].astype(np.int64)
-    return _from_arcs(n, directed, ends[:, 0], ends[:, 1], arcs[:, 2],
-                      coords=coords)
-
-
 def _from_arcs(n: int, directed: bool, tails, heads, weights,
                **fields) -> Graph:
     """The Graph of the arcs tails -> heads (edges, when undirected),
     with self-loops dropped and duplicates collapsed to their first
-    occurrence, both counted. The ends may be int32 or int64 arrays."""
-    keep = tails != heads
-    tails, heads, weights = tails[keep], heads[keep], weights[keep]
-    lo, hi = (tails, heads) if directed else \
-        (np.minimum(tails, heads), np.maximum(tails, heads))
-    _, first = np.unique(np.multiply(lo, n, dtype=np.int64) + hi,
-                         return_index=True)
-    loops, dups = keep.size - tails.size, tails.size - first.size
-    tails, heads, weights = tails[first], heads[first], weights[first]
+    occurrence, both counted. The ends may be int32 or int64 arrays.
+
+    One quicksort of int64 keys builds both row sets: arc i is keyed
+    tail * n + head, and again head * n + tail, raised past every first
+    key when directed (the in-rows); a self-loop's keys are -1. Each
+    temporary is freed once read: the unsorted keys once gathered in
+    order; the sort's permutation once cut to int32 arc numbers; the
+    sorted keys once their distinct values are taken; the arc numbers
+    once each run's least one, its first occurrence, is taken; and that
+    once its weight is gathered. No key, sort or copy is made per row set.
+    """
+    m = tails.size
+    key = np.array((tails, heads), dtype=np.int64)
+    key *= n
+    key += (heads, tails)
     if directed:
-        out, inn = _csr(n, tails, heads, weights), \
-            _csr(n, heads, tails, weights)
+        key[1] += n * n
+    key[:, tails == heads] = -1
+    loops = int(np.count_nonzero(key[0] == -1))
+    perm = key.ravel().argsort()
+    key = key.ravel()[perm]
+    arc = np.remainder(perm, m, out=perm).astype(
+        np.int32 if m < 2**31 else np.int64)
+    del perm
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    keys = key[new]
+    del key
+    first = np.minimum.reduceat(arc, new.nonzero()[0])
+    del arc, new
+    keys, first = keys[loops > 0:], first[loops > 0:]
+    w, half = weights[first], keys.size // 2
+    del first
+    if directed:
+        out = _csr(n, keys[:half], w[:half])
+        keys[half:] -= n * n
+        inn = _csr(n, keys[half:], w[half:])
     else:
-        out = inn = _csr(n, np.concatenate([tails, heads]),
-                         np.concatenate([heads, tails]),
-                         np.concatenate([weights, weights]))
+        out = inn = _csr(n, keys, w)
     return Graph(n=n, directed=directed, out_csr=out, in_csr=inn,
-                 self_loops_dropped=loops, duplicates_collapsed=dups,
-                 **fields)
+                 self_loops_dropped=loops,
+                 duplicates_collapsed=m - loops - half, **fields)
 
 
 # -- shortest paths -----------------------------------------------------

@@ -40,9 +40,6 @@ class DecompositionResult:
     shell_index: list[int]
     removal_order: list[tuple[int, int]]   # (node, stage value)
 
-    def as_scores(self) -> ScoreVector:
-        return score_vector("k-shell", [float(s) for s in self.shell_index])
-
 
 def _peel(g: Graph, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """(removal order, stage of each node) of iterative pruning keyed on
@@ -58,10 +55,9 @@ def _peel(g: Graph, lam: float) -> tuple[np.ndarray, np.ndarray]:
     rounds; the removal order lists each round in id order.
     """
     a = g.adjacency(weighted=False)
-    # row v: v's neighbours, each with its number of arcs to or from v,
-    # so a reciprocal pair counts twice and a row sums to the total degree
-    op = (a + g.reversed.adjacency(False) if g.directed else a).astype(
-        np.int64)
+    # row v: v's neighbours, each with its float count of arcs to or from
+    # v, so a reciprocal pair counts twice and a row sums to the total degree
+    op = a + g.reversed.adjacency(False) if g.directed else a
     ptr, nbrs, arcs = op.indptr, op.indices, op.data
     degree = np.asarray(op.sum(axis=1)).ravel()
     residual = degree.copy()      # exhausted degree: degree - residual
@@ -84,7 +80,7 @@ def _peel(g: Graph, lam: float) -> tuple[np.ndarray, np.ndarray]:
         heads, counts = nbrs[at], arcs[at]
         live = alive[heads]
         touched, which = np.unique(heads[live], return_inverse=True)
-        residual[touched] -= np.bincount(which, counts[live]).astype(np.int64)
+        residual[touched] -= np.bincount(which, counts[live])
         key[touched] = residual[touched] + \
             lam * (degree[touched] - residual[touched])
         frontier = touched[key[touched] <= m]

@@ -11,7 +11,7 @@ from . import iterative as it
 from . import local as lo
 from .errors import GraphInputError
 from .graph import Graph
-from .params import GroupSelectParams, MetricParams, ScoreVector
+from .params import GroupSelectParams, MetricParams, ScoreVector, score_vector
 
 
 @dataclass(frozen=True)
@@ -22,23 +22,11 @@ class PointMetric:
     capped: bool = False
 
 
-def _degree(g, p):
-    return lo.degree_family(g, "total")
-
-
-def _in_degree(g, p):
-    return lo.degree_family(g, "in")
-
-
-def _out_degree(g, p):
-    return lo.degree_family(g, "out")
-
-
 POINT_METRICS: dict[str, PointMetric] = {
     # local
-    "degree": PointMetric(_degree),
-    "in-degree": PointMetric(_in_degree),
-    "out-degree": PointMetric(_out_degree),
+    "degree": PointMetric(lambda g, p: lo.degree_family(g, "total")),
+    "in-degree": PointMetric(lambda g, p: lo.degree_family(g, "in")),
+    "out-degree": PointMetric(lambda g, p: lo.degree_family(g, "out")),
     "semi-local": PointMetric(
         lambda g, p: lo.neighborhood_degree_family(g, "semi-local", p)),
     "hybrid-degree": PointMetric(
@@ -54,7 +42,8 @@ POINT_METRICS: dict[str, PointMetric] = {
     "h-index": PointMetric(lambda g, p: lo.h_index(g, order=1)),
     "gauss-curvature": PointMetric(lambda g, p: lo.gauss_curvature(g)),
     # iterative
-    "k-shell": PointMetric(lambda g, p: it.k_shell(g).as_scores()),
+    "k-shell": PointMetric(
+        lambda g, p: score_vector("k-shell", it._peel(g, 0.0)[1].tolist())),
     "mixed-degree": PointMetric(
         lambda g, p: it.mixed_degree_decomposition(g, p.lambda_mdd)),
     "nc": PointMetric(lambda g, p: it.coreness_family(g, "nc")),

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse
 
 from centnet import GraphInputError
+from centnet.graph import _from_arcs
 
 INF = math.inf
 
@@ -743,6 +744,14 @@ class TupleGraph:
         sym.data[:] = 1.0
         sym.sort_indices()
         return sym
+
+
+def graph_from_arcs(n, directed, arcs):
+    """Id-preserving constructor: the Graph of `arcs`, (u, v, w) with
+    0 <= u, v < n already deduplicated."""
+    arcs = np.array(list(arcs), dtype=float).reshape(-1, 3)
+    ends = arcs[:, :2].astype(np.int64)
+    return _from_arcs(n, directed, ends[:, 0], ends[:, 1], arcs[:, 2])
 
 
 def tuple_build_graph(edges, directed=False, isolated=()):

@@ -27,7 +27,6 @@ from centnet.globalmetrics import (
     information_centrality,
     weight_neighborhood,
 )
-from centnet.graph import graph_from_arcs
 from centnet.graphmetrics import (
     assortativity,
     global_clustering,
@@ -262,8 +261,8 @@ def test_gdsp_loops(kind, alpha):
     g, _ = GRAPHS[kind]
     _close(generalized_weighted_family(g, "gdsp-degree", alpha).values,
            oracles.gdsp_degree(g, alpha))
-    ref = graph_from_arcs(g.n, g.directed,
-                          oracles.alpha_distance_arcs(g, alpha))
+    ref = oracles.graph_from_arcs(g.n, g.directed,
+                                  oracles.alpha_distance_arcs(g, alpha))
     _close(generalized_weighted_family(g, "gdsp-closeness", alpha).values,
            closeness_family(ref, "closeness").values)
     _close(generalized_weighted_family(g, "gdsp-betweenness",

@@ -330,11 +330,10 @@ class TestGeneralizedWeighted:
                 assert got == pytest.approx(base)
 
     def test_alpha1_equals_weighted(self, atlas_weighted):
-        from centnet.graph import graph_from_arcs
         for g in atlas_weighted[:15]:
             arcs = [(v, u, 1.0 / w) for v in range(g.n)
                     for u, w in g.adj[v] if v < u]
-            inv = graph_from_arcs(g.n, False, arcs)
+            inv = oracles.graph_from_arcs(g.n, False, arcs)
             got = generalized_weighted_family(g, "gdsp-closeness", 1.0).values
             assert got == pytest.approx(closeness_family(inv).values)
 

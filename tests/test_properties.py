@@ -237,6 +237,9 @@ def test_build_matches_the_tuple_build(case):
         return
     _assert_same_graph(build_graph((e for e in edges), directed=directed,
                                    isolated=isolated), g)
+    for rows in (g.out_csr, g.in_csr):
+        assert [a.dtype for a in rows] == \
+            [np.int32, np.int32, np.float64, np.int64]
     ref = oracles.tuple_build_graph(edges, directed=directed,
                                     isolated=isolated)
     assert (g.labels, g.n) == (ref.labels, ref.n)
@@ -313,3 +316,30 @@ def test_parse_matches_the_line_parser(tmp_path, text, directed):
         return
     _assert_same_graph(parse_edge_list(path, directed=directed),
                        build_graph(edges, directed=directed))
+
+
+# Byte pieces that st.binary() rarely strings into an edge line: ids,
+# separators, line ends, comment marks, weights the parse must refuse,
+# and bytes that are not UTF-8 text (a lone continuation byte, an
+# encoded surrogate) or are whitespace only to str.split (NEL, U+2028).
+BYTE_PIECES = st.sampled_from([
+    b"1", b"2", b"a", b" ", b"\t", b",", b"\n", b"\r", b"#", b"%", b"2.5",
+    b"-1", b"nan", b"1e400", b"_", b"\x00", b"\x0c", b"\x1c", b"\xc2\x85",
+    b"\xe2\x80\xa8", b"\xef\xbb\xbf", b"\xff", b"\x85", b"\xed\xa0\x80"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary() | st.lists(BYTE_PIECES).map(b"".join), st.booleans())
+@example(b"1 2\n\xc2\x85a\xe2\x80\xa8b 3\r# x\n2\x001 1e308\n", False)
+def test_parse_takes_any_bytes(tmp_path, data, directed):
+    """Whatever the bytes, the streaming parse raises GraphInputError or
+    builds the graph of the edges that the readlines parse reads."""
+    path = tmp_path / "g.bin"
+    path.write_bytes(data)
+    try:
+        g = parse_edge_list(path, directed=directed)
+    except GraphInputError:
+        return
+    _assert_same_graph(g, build_graph(oracles.parse_edge_lines(path),
+                                      directed=directed))
