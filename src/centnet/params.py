@@ -39,8 +39,8 @@ class ScoreVector:
 
 
 def score_vector(metric_id: str, values, params: dict | None = None) -> ScoreVector:
-    return ScoreVector(tuple(values), metric_id,
-                       params_digest(params or {}))
+    """A ScoreVector of a sequence or array of scores, converted once."""
+    return ScoreVector(values, metric_id, params_digest(params or {}))
 
 
 def _check(cond: bool, msg: str):

@@ -43,7 +43,7 @@ POINT_METRICS: dict[str, PointMetric] = {
     "gauss-curvature": PointMetric(lambda g, p: lo.gauss_curvature(g)),
     # iterative
     "k-shell": PointMetric(
-        lambda g, p: score_vector("k-shell", it._peel(g, 0.0)[1].tolist())),
+        lambda g, p: score_vector("k-shell", it._peel(g, 0.0)[1])),
     "mixed-degree": PointMetric(
         lambda g, p: it.mixed_degree_decomposition(g, p.lambda_mdd)),
     "nc": PointMetric(lambda g, p: it.coreness_family(g, "nc")),

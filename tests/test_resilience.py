@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -346,3 +347,82 @@ def test_cascade_matches_the_loop(kind, beta):
         alive = [s == "S" for s in states]
         assert out.giant_fraction == \
             components(g, mask=alive).giant_size / g.n
+
+
+# two phi that remove as many nodes at n = 150 and n = 200 (16 and 21)
+SPREAD_GRID = [0.0, 0.02, 0.101, 0.104, 0.3]
+
+
+def _seed_orders(g, source, runs, rng_seed):
+    """Each run's removal order for a plan source, built from the
+    registry's scores or selection and the plan's documented rules."""
+    from centnet import registry
+
+    if source == "random":
+        orders = []
+        for run in range(runs):
+            order = list(range(g.n))
+            random.Random(rng_seed + run).shuffle(order)
+            orders.append(order)
+        return orders
+    if source == "degree":
+        return [rank_targets(registry.compute_point_metric(g, source))] * runs
+    budget = max(math.ceil(phi * g.n - 1e-9) for phi in SPREAD_GRID)
+    seeds = registry.run_strategy(g, source["strategy"], budget,
+                                  source["params"]).seeds
+    order = list(seeds) + [v for v in range(g.n) if v not in set(seeds)]
+    return [order] * runs
+
+
+@pytest.mark.parametrize("kind", sorted(SIR_GRAPHS))
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
+def test_plan_rows_match_the_loop(kind, beta):
+    """run_experiment runs every phi of a (source, run) as one batch on
+    one draw stream per run; each row is still the node-by-node loop's
+    cascade from its own prefix, and infectious_attack's row for it.
+    degree-distance at t_td 3 stops early on the directed and the
+    disconnected graph, so its prefixes end in padded ids there."""
+    g = SIR_GRAPHS[kind]
+    strategy = {"strategy": "degree-distance", "params": {"t_td": 3}}
+    sources = ["degree", "random", strategy]
+    plan = AttackPlan("infectious", sources, SPREAD_GRID, beta=beta,
+                      runs=3, rng_seed=4)
+    res = run_experiment(plan, g)
+    assert not res.errors
+    padded = res.selections[0][2]
+    assert padded > 0 or kind == "sparse"
+    assert [(r.metric, r.run, r.phi) for r in res.rows] == [
+        (name, run, phi) for name in ("degree", "random", "degree-distance")
+        for run in range(3) for phi in SPREAD_GRID]
+    rows = iter(res.rows)
+    for source in sources:
+        for run, order in enumerate(_seed_orders(g, source, 3, 4)):
+            for phi in SPREAD_GRID:
+                row = next(rows)
+                seeds = order[:math.ceil(phi * g.n - 1e-9)]
+                states, ever = oracles.sir_cascade(g, seeds, beta,
+                                                   rng_seed=4 + run)
+                alive = [s == "S" for s in states]
+                giant = oracles.slice_components(g, mask=alive)[2] / g.n
+                assert row.node_states == states
+                assert (row.seeds, row.infected_total, row.giant_fraction) \
+                    == (len(set(seeds)), ever, giant)
+                if seeds:
+                    alone = infectious_attack(g, seeds, beta, 4 + run,
+                                              row.metric, phi, run)
+                    assert alone == dataclasses.replace(
+                        row, elapsed_ms=alone.elapsed_ms)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
+def test_draws_are_the_random_calls(beta):
+    """The one-call draws equal `random() < beta` call by call; they rest
+    on how CPython's Mersenne Twister forms random() from 32-bit words,
+    which the random module does not document."""
+    from centnet.resilience import _draws
+
+    for seed in (0, 1, 7, 2**40 + 3, -5):
+        for k in (0, 1, 2, 999):
+            rng = random.Random(seed)
+            want = [rng.random() < beta for _ in range(k)]
+            assert _draws(seed, beta, k).tolist() == want
