@@ -304,6 +304,17 @@ class TestRunExperiment:
         res = run_experiment(plan, g)
         assert [(r.phi, r.run) for r in res.rows] == [(0.0, 0), (0.1, 0)]
 
+    def test_infectious_grid_that_removes_nobody(self):
+        # no cell has a seed, so no cascade runs: each run gives its
+        # phi = 0 row on the intact graph
+        g = er_graph(30, 0.15, 7)
+        res = run_experiment(AttackPlan("infectious", ["degree"], [0.0],
+                                        runs=2), g)
+        assert [(r.phi, r.run, r.seeds, r.infected_total)
+                for r in res.rows] == [(0.0, 0, 0, 0), (0.0, 1, 0, 0)]
+        giant = components(g).giant_size / g.n
+        assert all(r.giant_fraction == giant for r in res.rows)
+
     @pytest.mark.parametrize("grid", ["1", "15", 0.5])
     def test_phi_grid_must_be_a_list(self, grid):
         # a string used to be read one character at a time: "1" gave
