@@ -12,7 +12,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import GraphInputError
-from .graph import Graph, _from_arcs, components, cut_blocks, row_positions
+from .graph import Graph, _from_arcs, components, row_positions
 from .params import ScoreVector
 
 
@@ -69,8 +69,6 @@ class AttackOutcome:
     infected_total: int | None = None     # None for non-infectious rows
     node_states: list | None = None       # 'S' / 'R' final labels
     elapsed_ms: float = 0.0
-    """The row's own time; a batched infectious row carries an equal
-    share of its batch's rounds plus its own giant and labels."""
 
     @property
     def infected_fraction(self) -> float | None:
@@ -246,78 +244,54 @@ def infectious_attack(g: Graph, seeds, beta: float,
     survives its one attempt is immune for good (it stays in S). The
     giant fraction is measured on the subgraph induced by S nodes,
     normalized by the original node count.
-
-    This is the one-cell call of `_cascades`; `run_experiment` batches
-    every phi of a (source, run), to the same rows, and a batched row's
-    `elapsed_ms` is a share of its batch's rounds plus its own giant.
     """
     if not 0.0 <= beta <= 1.0:
         raise GraphInputError("beta must lie in [0,1]")
-    seeds = _node_ids(g, seeds, "seeds", distinct=False)
+    seeds = np.unique(_node_ids(g, seeds, "seeds", distinct=False))
     if not seeds.size:
         raise GraphInputError("infectious attack needs at least one seed")
-    return _cascades(g, [(phi, seeds)], _draws(rng_seed, beta, g.n),
-                     metric, run)[0]
+    n = g.n
+    start = time.perf_counter()
+    rng = random.Random(rng_seed)
+    rows = g.out_csr
+    attempted = np.zeros(n, dtype=bool)
+    ever = np.zeros(n, dtype=bool)          # ever infected: R at the end
+    none = np.iinfo(np.intp).max            # first's entries between rounds
+    first = np.full(n, none)
+    infected = seeds
+    attempted[infected] = ever[infected] = True
+    while infected.size:
+        # the out-arcs of the infected nodes, in list order; each head
+        # not yet attempted is exposed once, at its first such arc, which
+        # minimum.at finds without a sort, and draws once, in that order
+        heads = rows.indices.take(row_positions(rows.indptr, infected))
+        heads = heads[~attempted.take(heads)]
+        at = np.arange(heads.size)
+        np.minimum.at(first, heads, at)
+        exposed = heads[first.take(heads) == at]
+        first[heads] = none
+        attempted[exposed] = True
+        infected = exposed[_draws(rng, beta, exposed.size)]
+        ever[infected] = True
+    # a bytearray mask reads into numpy without a per-node loop, and its
+    # sum(), which a tracer may count, is a Python int
+    mask = bytearray((~ever).tobytes())
+    giant = components(g, mask=mask).giant_size / n if n else 0.0
+    labels = np.where(ever, "R", "S").tolist()
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return AttackOutcome(metric, phi, run, giant, seeds=len(seeds),
+                         infected_total=int(ever.sum()), node_states=labels,
+                         elapsed_ms=elapsed)
 
 
-def _draws(seed: int, beta: float, k: int) -> np.ndarray:
-    """`random() < beta` for the first k draws of `random.Random(seed)`,
-    from one call: random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for
-    each pair of CPython's 32-bit words, low word first."""
-    w = np.frombuffer(random.Random(seed).getrandbits(64 * k)
+def _draws(rng: random.Random, beta: float, k: int) -> np.ndarray:
+    """`random() < beta` for k calls of `rng.random()`, from one call
+    that leaves `rng` where they would: random() is
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for each pair of CPython's
+    32-bit words, low word first."""
+    w = np.frombuffer(rng.getrandbits(64 * k)
                       .to_bytes(8 * k, "little"), dtype="<u4")
     return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 2.0**53 < beta
-
-
-def _cascades(g: Graph, cells, hits, metric: str,
-              run: int) -> list[AttackOutcome]:
-    """The rows of `infectious_attack` for each (phi, seed ids) cell, whose
-    i-th exposure succeeds if `hits[i]`. Blocks of cells (costing n plus
-    the seeds' out-arcs each) run their rounds together on cell * n + node."""
-    n, rows, out = g.n, g.out_csr, []
-    costs = [n + rows.degrees.take(seeds).sum() for _, seeds in cells]
-    for block in cut_blocks(costs) if cells else ():
-        start = time.perf_counter()
-        part = [(phi, np.unique(seeds)) for phi, seeds in cells[block]]
-        c = len(part)
-        itype = np.int32 if c * max(n, rows.indices.size) < 2**31 else int
-        none = np.iinfo(itype).max          # first's entries between rounds
-        first = np.full(c * n, none, dtype=itype)
-        drawn = np.zeros(c, dtype=int)              # draws read, by cell
-        infected = np.concatenate([seeds + i * n for i, (_, seeds)
-                                   in enumerate(part)]).astype(itype)
-        state = np.zeros(c * n, dtype=np.int8)  # 1 attempted, 2 infected
-        state[infected] = 2
-        while infected.size:
-            node = infected % n
-            heads = rows.indices.take(row_positions(rows.indptr, node)) + \
-                (infected - node).repeat(rows.degrees.take(node))
-            heads = heads[state.take(heads) == 0]
-            # each head not yet attempted is exposed once, at its first
-            # position, which minimum.at finds without a sort
-            at = np.arange(heads.size, dtype=itype)
-            np.minimum.at(first, heads, at)
-            exposed = heads[first.take(heads) == at]
-            first[heads] = none
-            state[exposed] = 1
-            # each cell's exposures read its next draws, in order
-            cell = exposed // n
-            at = np.arange(cell.size) - cell.searchsorted(cell)
-            infected = exposed[hits.take(at + drawn.take(cell))]
-            drawn += np.bincount(cell, minlength=c)
-            state[infected] = 2
-        share = (time.perf_counter() - start) / c
-        for i, (phi, seeds) in enumerate(part):
-            start = time.perf_counter()
-            ever = state[i * n:(i + 1) * n] == 2    # R at the end
-            # numpy reads a bytearray whole, and a tracer sums it to an int
-            giant = components(g, mask=bytearray((~ever).tobytes()))
-            out.append(AttackOutcome(
-                metric, phi, run, giant.giant_size / n, seeds=seeds.size,
-                infected_total=int(ever.sum()),
-                node_states=np.where(ever, "R", "S").tolist(),
-                elapsed_ms=(share + time.perf_counter() - start) * 1000.0))
-    return out
 
 
 def mean_infected_per_attacker(outcome: AttackOutcome) -> float:
@@ -378,9 +352,6 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
     n = g.n
     if plan.kind == "infectious":       # the phi = 0 rows' giant
         intact_giant = components(g).giant_size / n if n else 0.0
-        # each run's draws, shared by every source and phi
-        draws = [_draws(plan.rng_seed + run, plan.beta, n)
-                 for run in range(plan.runs)]
     for source in plan.sources:
         name = _source_name(source)
         try:
@@ -402,15 +373,17 @@ def run_experiment(plan: AttackPlan, g: Graph) -> ExperimentResult:
                     row.run = run
                     rows.append(row)
                 continue
-            # removal counts rise with phi, so the empty cells come first
-            order = np.asarray(order)
-            cells = [(phi, order[:removal_count(phi, n)])
-                     for phi in plan.phi_grid]
-            rows += [AttackOutcome(name, phi, run, intact_giant, seeds=0,
-                                   infected_total=0, node_states=["S"] * n)
-                     for phi, seeds in cells if not seeds.size]
-            rows += _cascades(g, [c for c in cells if c[1].size],
-                              draws[run], name, run)
+            for phi in plan.phi_grid:
+                k = removal_count(phi, n)
+                if k == 0:
+                    rows.append(AttackOutcome(name, phi, run, intact_giant,
+                                              seeds=0, infected_total=0,
+                                              node_states=["S"] * n))
+                    continue
+                rows.append(infectious_attack(
+                    g, order[:k], plan.beta,
+                    rng_seed=plan.rng_seed + run, metric=name,
+                    phi=phi, run=run))
 
     summary: dict = {}
     buckets: dict = {}

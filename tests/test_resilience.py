@@ -388,9 +388,9 @@ def _seed_orders(g, source, runs, rng_seed):
 @pytest.mark.parametrize("kind", sorted(SIR_GRAPHS))
 @pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
 def test_plan_rows_match_the_loop(kind, beta):
-    """run_experiment runs every phi of a (source, run) as one batch on
-    one draw stream per run; each row is still the node-by-node loop's
-    cascade from its own prefix, and infectious_attack's row for it.
+    """Every infectious row of a plan, over sources, runs and two phi
+    that remove as many nodes, is the node-by-node loop's cascade from
+    its own prefix on its run's draws, and infectious_attack's row for it.
     degree-distance at t_td 3 stops early on the directed and the
     disconnected graph, so its prefixes end in padded ids there."""
     g = SIR_GRAPHS[kind]
@@ -427,13 +427,15 @@ def test_plan_rows_match_the_loop(kind, beta):
 
 @pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
 def test_draws_are_the_random_calls(beta):
-    """The one-call draws equal `random() < beta` call by call; they rest
-    on how CPython's Mersenne Twister forms random() from 32-bit words,
-    which the random module does not document."""
+    """Successive one-call draws equal `random() < beta` call by call and
+    leave the generator where those calls do; they rest on how CPython's
+    Mersenne Twister forms random() from 32-bit words, which the random
+    module does not document."""
     from centnet.resilience import _draws
 
     for seed in (0, 1, 7, 2**40 + 3, -5):
-        for k in (0, 1, 2, 999):
-            rng = random.Random(seed)
-            want = [rng.random() < beta for _ in range(k)]
-            assert _draws(seed, beta, k).tolist() == want
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in (0, 1, 2, 999, 0, 3):
+            want = [ref.random() < beta for _ in range(k)]
+            assert _draws(rng, beta, k).tolist() == want
+            assert rng.getstate() == ref.getstate()
