@@ -271,7 +271,9 @@ def infectious_attack(g: Graph, seeds, beta: float,
         exposed = heads[first.take(heads) == at]
         first[heads] = none
         attempted[exposed] = True
-        infected = exposed[_draws(rng, beta, exposed.size)]
+        infected = exposed[np.fromiter(
+            (rng.random() < beta for _ in range(exposed.size)), bool,
+            exposed.size)]
         ever[infected] = True
     # a bytearray mask reads into numpy without a per-node loop, and its
     # sum(), which a tracer may count, is a Python int
@@ -282,16 +284,6 @@ def infectious_attack(g: Graph, seeds, beta: float,
     return AttackOutcome(metric, phi, run, giant, seeds=len(seeds),
                          infected_total=int(ever.sum()), node_states=labels,
                          elapsed_ms=elapsed)
-
-
-def _draws(rng: random.Random, beta: float, k: int) -> np.ndarray:
-    """`random() < beta` for k calls of `rng.random()`, from one call
-    that leaves `rng` where they would: random() is
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for each pair of CPython's
-    32-bit words, low word first."""
-    w = np.frombuffer(rng.getrandbits(64 * k)
-                      .to_bytes(8 * k, "little"), dtype="<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 2.0**53 < beta
 
 
 def mean_infected_per_attacker(outcome: AttackOutcome) -> float:

@@ -423,19 +423,3 @@ def test_plan_rows_match_the_loop(kind, beta):
                                               row.metric, phi, run)
                     assert alone == dataclasses.replace(
                         row, elapsed_ms=alone.elapsed_ms)
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 1.0])
-def test_draws_are_the_random_calls(beta):
-    """Successive one-call draws equal `random() < beta` call by call and
-    leave the generator where those calls do; they rest on how CPython's
-    Mersenne Twister forms random() from 32-bit words, which the random
-    module does not document."""
-    from centnet.resilience import _draws
-
-    for seed in (0, 1, 7, 2**40 + 3, -5):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for k in (0, 1, 2, 999, 0, 3):
-            want = [ref.random() < beta for _ in range(k)]
-            assert _draws(rng, beta, k).tolist() == want
-            assert rng.getstate() == ref.getstate()
