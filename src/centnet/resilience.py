@@ -271,9 +271,10 @@ def infectious_attack(g: Graph, seeds, beta: float,
         exposed = heads[first.take(heads) == at]
         first[heads] = none
         attempted[exposed] = True
-        infected = exposed[np.fromiter(
-            (rng.random() < beta for _ in range(exposed.size)), bool,
-            exposed.size)]
+        # fromiter reads exactly exposed.size draws: random() never
+        # returns the sentinel 2.0
+        draws = np.fromiter(iter(rng.random, 2.0), float, exposed.size)
+        infected = exposed[draws < beta]
         ever[infected] = True
     # a bytearray mask reads into numpy without a per-node loop, and its
     # sum(), which a tracer may count, is a Python int
