@@ -4,6 +4,7 @@ attack, bench."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -150,9 +151,9 @@ def _cmd_bench(args) -> int:
     for mid in metric_ids:
         samples = []
         try:
-            for _ in range(args.repeat):
+            for fresh in (dataclasses.replace(g) for _ in range(args.repeat)):
                 start = time.perf_counter()
-                registry.compute_point_metric(g, mid, overrides)
+                registry.compute_point_metric(fresh, mid, overrides)
                 samples.append((time.perf_counter() - start) * 1000.0)
         except CentnetError as exc:
             # with --metrics all, ids inapplicable to this graph kind
@@ -220,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("bench", help="median per-metric wall time")
+    p = sub.add_parser("bench", help="median per-metric wall time; each "
+                       "sample runs cold, on a fresh copy of the graph")
     common(p, coords=True)
     p.add_argument("--metrics", default="all",
                    help="comma-separated ids, or 'all' (uncapped set)")

@@ -1,10 +1,18 @@
 """Point centralities requiring whole-graph path or flow computations.
 
+Betweenness, load, closeness, eccentricity and bavelas read one uncapped
+all-source `traverse` sweep per Graph, kept in a weak-keyed memo for the
+Graph's life (5 float64 n-vectors). Closeness ids run its forward pass
+alone (per source: reached count, distance sum, farthest); betweenness or
+load add the sums of both backward sweeps, Brandes dependencies and load.
+
 Information centrality is current-flow closeness: both read the
 effective resistances of one grounded Laplacian inverse per component.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse
@@ -36,6 +44,30 @@ def _require_connected(g: Graph, name: str):
 
 # -- shortest-path betweenness family ------------------------------------
 
+_SWEEPS = weakref.WeakKeyDictionary()
+
+
+def _sweep(g: Graph, backward: bool = False) -> dict:
+    """The memoised sweep of `g` (module docstring) as read-only
+    n-vectors; "betweenness" and "load" come with `backward`."""
+    memo = _SWEEPS.get(g)
+    if memo is not None and (not backward or "load" in memo):
+        return memo
+    keys = ("count", "total", "farthest") + backward * ("betweenness", "load")
+    memo = {k: np.zeros(g.n) for k in keys}
+    for t in traverse(g, range(g.n)):
+        for k, part in zip(keys, t.reach()):
+            memo[k][t.sources] = part
+        if backward:
+            memo["betweenness"] += t.accumulate(
+                t.sigma, reciprocal(t.sigma)).sum(axis=1)
+            memo["load"] += t.accumulate(
+                1.0, reciprocal(t.pred_count())).sum(axis=1)
+    for v in memo.values():
+        v.flags.writeable = False
+    _SWEEPS[g] = memo
+    return memo
+
 
 def _dependency_sum(g: Graph, sources, cap=None, weights=None):
     """Brandes dependencies summed over `sources`, each source's
@@ -55,15 +87,16 @@ def betweenness_family(g: Graph, metric: str = "betweenness",
 
     Betweenness sums over unordered pairs on undirected graphs and
     ordered pairs on directed graphs; the normalization divisor is the
-    Freeman pair count.
+    Freeman pair count. Load is Goh's packet splitting; it and betweenness
+    read the memoised sweep (module docstring), which the first one runs.
     """
     params = params or MetricParams()
     n = g.n
     if metric in ("betweenness", "l-betweenness"):
-        cap = None if metric == "betweenness" else float(params.L)
-        acc = _dependency_sum(g, range(n), cap)
+        acc = _sweep(g, True)["betweenness"] if metric == "betweenness" \
+            else _dependency_sum(g, range(n), float(params.L))
         if not g.directed:
-            acc /= 2.0
+            acc = acc / 2.0
         if normalized:
             acc = _freeman_normalize(acc, n, g.directed)
         extra = {"L": params.L} if metric == "l-betweenness" else {}
@@ -86,7 +119,7 @@ def betweenness_family(g: Graph, metric: str = "betweenness",
         return score_vector("percolation", vals)
 
     if metric == "load":
-        return _load(g)
+        return score_vector("load", _sweep(g, True)["load"])
 
     raise GraphInputError(f"unknown betweenness metric {metric!r}")
 
@@ -96,15 +129,6 @@ def _freeman_normalize(acc, n, directed):
     if pairs <= 0:
         return [0.0] * n
     return [x / pairs for x in acc]
-
-
-def _load(g: Graph) -> ScoreVector:
-    """Goh's packet-splitting load: unit packets split evenly at each
-    branching point, accumulated over ordered pairs."""
-    acc = np.zeros(g.n)
-    for t in traverse(g, range(g.n)):
-        acc += t.accumulate(1.0, reciprocal(t.pred_count())).sum(axis=1)
-    return score_vector("load", acc)
 
 
 # -- flow family ----------------------------------------------------------
@@ -255,13 +279,12 @@ def closeness_family(g: Graph, metric: str = "closeness",
     straightness.
 
     Default disconnected handling is strict: a node with any unreachable
-    peer scores 0 for closeness/bavelas/eccentricity. With
-    `reachable_only`, sums run over the node's reachable set instead.
-    Residual and straightness always skip unreachable pairs.
+    peer scores 0 for closeness/bavelas/eccentricity; with `reachable_only`
+    sums run over its reachable set. Residual and straightness always skip
+    unreachable pairs; the others read the memoised sweep (module doc).
     """
     params = params or MetricParams()
     n = g.n
-    skipped = 0
     if metric == "straightness" and g.coords is None:
         raise GraphInputError("straightness needs node coordinates")
 
@@ -269,40 +292,33 @@ def closeness_family(g: Graph, metric: str = "closeness",
         base, diag = closeness_family(g, "closeness", params,
                                       reachable_only, True)
         total = sum(base.values)
-        if total == 0:
-            vals = [0.0] * n
-        else:
-            vals = [x / total for x in base.values]
+        vals = [x / total for x in base.values] if total else [0.0] * n
         sv = score_vector("bavelas", vals)
         return (sv, diag) if with_diagnostics else sv
 
-    if metric not in ("closeness", "eccentricity", "residual",
-                      "straightness"):
+    if metric in ("closeness", "eccentricity"):
+        count, total, far = map(_sweep(g).get, ("count", "total", "farthest"))
+        vals = reciprocal(total if metric == "closeness" else far)
+        vals = np.where(reachable_only | (count == n - 1), vals, 0.0)
+    elif metric in ("residual", "straightness"):
+        vals, count = np.zeros(n), np.zeros(n, dtype=int)
+        for t in traverse(g, range(n)):
+            reached = t.dist < INF
+            reached[t.sources, np.arange(len(t.sources))] = False
+            d = np.where(reached, t.dist, 0.0)
+            count[t.sources] = reached.sum(axis=0)
+            if metric == "residual":
+                val = np.where(reached, params.delta_decay ** d, 0.0).sum(0)
+            else:
+                xy = np.asarray(g.coords)
+                euclid = np.linalg.norm(xy[:, None] - xy[t.sources], axis=2)
+                ratio = euclid / np.where(reached, d, 1.0)
+                val = np.where(reached, ratio, 0.0).sum(axis=0) / \
+                    np.maximum(count[t.sources], 1)
+            vals[t.sources] = val
+    else:
         raise GraphInputError(f"unknown closeness metric {metric!r}")
-    vals = np.zeros(n)
-    for t in traverse(g, range(n)):
-        cols = np.arange(len(t.sources))
-        reached = t.dist < INF
-        reached[t.sources, cols] = False
-        d = np.where(reached, t.dist, 0.0)
-        count = reached.sum(axis=0)
-        skipped += int((n - 1 - count).sum())
-        scored = count > 0
-        if not reachable_only and metric in ("closeness", "eccentricity"):
-            scored &= count == n - 1
-        if metric == "closeness":
-            val = reciprocal(d.sum(axis=0))
-        elif metric == "eccentricity":
-            val = reciprocal(d.max(axis=0, initial=0.0))
-        elif metric == "residual":
-            val = np.where(reached, params.delta_decay ** d, 0.0).sum(axis=0)
-        else:
-            xy = np.asarray(g.coords)
-            euclid = np.linalg.norm(xy[:, None] - xy[t.sources], axis=2)
-            ratio = euclid / np.where(reached, d, 1.0)
-            val = np.where(reached, ratio, 0.0).sum(axis=0) / \
-                np.maximum(count, 1)
-        vals[t.sources] = np.where(scored, val, 0.0)
+    skipped = int((n - 1 - count).sum())
     extra = {"delta": params.delta_decay} if metric == "residual" else {}
     sv = score_vector(metric, vals,
                       {"reachable_only": reachable_only, **extra})

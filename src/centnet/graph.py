@@ -440,6 +440,11 @@ class Traversal:
         right = 1/pred_count."""
         raise NotImplementedError
 
+    def reach(self):
+        """Per source: other nodes reached, their distance sum and max."""
+        d = np.where(self.dist < INF, self.dist, 0.0)
+        return (self.dist < INF).sum(axis=0) - 1, d.sum(axis=0), d.max(axis=0)
+
 
 class _LevelSweep(Traversal):
     """Unit weights: a level-synchronous BFS of sparse x dense-block
@@ -486,6 +491,13 @@ class _LevelSweep(Traversal):
             c = (x + 1.0) * right * self.masks[lvl]
             x += left * (self.a @ c) * self.masks[lvl - 1]
         return x
+
+    def reach(self):
+        # the entries of masks[l] lie at distance l, so the sums are exact
+        counts = np.array([m.sum(axis=0) for m in self.masks])
+        lvl = np.arange(len(counts))[:, None]
+        return counts[1:].sum(axis=0), (lvl * counts).sum(axis=0) * 1.0, \
+            (lvl * (counts > 0)).max(axis=0) * 1.0
 
 
 class _OrderedSweep(Traversal):

@@ -10,6 +10,7 @@ chords. A 32 x 32 grid checks betweenness where geodesic counts pass
 2**53.
 """
 
+import dataclasses
 import math
 import random
 
@@ -18,7 +19,8 @@ import pytest
 
 import oracles
 from _synth import ba_edges
-from centnet import MetricParams, build_graph
+from centnet import MetricParams, build_graph, globalmetrics, registry
+from centnet.errors import CentnetError
 from centnet.globalmetrics import betweenness_family, closeness_family
 from centnet.graph import all_distances, shortest_paths
 
@@ -154,9 +156,59 @@ def test_load_matches_source_loop(case):
 
 def test_load_in_small_blocks(case, small_blocks):
     """One source per block, so every block takes the distance-ordered
-    sweep."""
-    g, _, _ = case
+    sweep. The graph is a fresh copy: on the fixture's own graph, the
+    earlier tests' memoised sweep would answer instead."""
+    g = dataclasses.replace(case[0])
     _close(betweenness_family(g, "load").values, oracles.source_load(g))
+    _close(betweenness_family(g).values, oracles.source_betweenness(g))
+    rows = all_distances(g)
+    peers = [[d for u, d in enumerate(row) if u != v]
+             for v, row in enumerate(rows)]
+    reach = [sum(d for d in ds if d < math.inf) for ds in peers]
+    full = [1.0 / r if all(d < math.inf for d in ds) and r else 0.0
+            for ds, r in zip(peers, reach)]
+    _close(closeness_family(g).values, full)
+    _close(closeness_family(g, reachable_only=True).values,
+           [1.0 / r if r else 0.0 for r in reach])
+
+
+# Ids that read the memoised all-source sweep, in the order requested;
+# ahp with one SI replicate, since its spread score is not under test
+SWEEP_IDS = ("betweenness", "closeness", "load", "eccentricity", "bavelas",
+             "ahp", "betweenness-gc", "closeness-gc")
+
+
+def _value(g, mid):
+    """The id's values on g, or the error it raises."""
+    try:
+        if mid in registry.GRAPH_METRICS:
+            return registry.compute_graph_metric(g, mid).value
+        return registry.compute_point_metric(g, mid, {"si_runs": 1}).values
+    except CentnetError as exc:
+        return repr(exc)
+
+
+def test_path_ids_share_one_sweep(case, monkeypatch):
+    """On one Graph, every id of SWEEP_IDS reads one all-source
+    traversal; a closeness id first runs the forward pass alone, so a
+    later betweenness traverses again. Each value equals that of the id
+    alone on a fresh Graph."""
+    calls, traverse = [], globalmetrics.traverse
+
+    def counted(g, sources, cap=None):
+        calls.append(len(sources))
+        return traverse(g, sources, cap)
+
+    monkeypatch.setattr(globalmetrics, "traverse", counted)
+    g = dataclasses.replace(case[0])
+    got = [_value(g, mid) for mid in SWEEP_IDS]
+    assert calls == [g.n]
+    h = dataclasses.replace(g)
+    _value(h, "closeness")
+    _value(h, "betweenness")
+    assert calls == [g.n] * 3
+    for mid, value in zip(SWEEP_IDS, got):
+        assert value == _value(dataclasses.replace(g), mid), mid
 
 
 def test_grid_sigma_beyond_float_precision():

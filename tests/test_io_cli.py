@@ -6,6 +6,7 @@ import pytest
 
 from centnet import AttackPlan, GraphInputError, build_graph
 from centnet import cli as cli_mod
+from centnet import globalmetrics
 from centnet import io as cio
 from centnet import registry
 from centnet.resilience import AttackOutcome, run_experiment
@@ -428,6 +429,23 @@ class TestCli:
             assert lines[0] == "metric,elapsed_ms"
             assert [l.split(",")[0] for l in lines[1:]] == \
                 ["degree", "closeness"]
+
+    def test_bench_times_each_sample_cold(self, p3_file, capsys,
+                                          monkeypatch):
+        # every sample of every id runs its own all-source sweep, none
+        # reads the memo of an earlier sample or id
+        calls, traverse = [], globalmetrics.traverse
+
+        def counted(g, sources, cap=None):
+            calls.append(len(sources))
+            return traverse(g, sources, cap)
+
+        monkeypatch.setattr(globalmetrics, "traverse", counted)
+        rc = cli_mod.main(["bench", p3_file, "--metrics",
+                           "betweenness,closeness,load", "--repeat", "3"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 4
+        assert calls == [3] * 9
 
     def test_centrality_list(self, p3_file, capsys):
         assert cli_mod.main(["centrality", p3_file, "--list"]) == 0
