@@ -410,8 +410,8 @@ def generalized_weighted_family(g: Graph, metric: str,
         return score_vector("gdsp-degree", vals, {"alpha": alpha})
     if metric not in ("gdsp-closeness", "gdsp-betweenness"):
         raise GraphInputError(f"unknown generalized metric {metric!r}")
-    h = g if (alpha == 0.0 and g.unit_weights) else \
-        _alpha_distance_graph(g, alpha)
+    # unit weights stay 1 / 1^alpha = 1, so g's memoised sweep serves
+    h = g if g.unit_weights else _alpha_distance_graph(g, alpha)
     if metric == "gdsp-closeness":
         base = closeness_family(h, "closeness")
         return score_vector("gdsp-closeness", base.values, {"alpha": alpha})

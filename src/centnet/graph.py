@@ -9,7 +9,9 @@ A `Graph` is read-only compressed rows (CSR arrays) of out- and
 in-neighbours. `build_graph` reads any iterable of edges once, checking
 each edge as it reads it and naming the first malformed one; it interns
 the labels in a dict as it goes and streams the ids into an int32 array.
-`_from_arcs` builds both row sets with one sort and frees each temporary
+From there `_labelled_graph` is the tail it shares with the chunked
+parse of `io`: isolated nodes, labels and coordinates, then `_from_arcs`,
+which builds both row sets with one sort and frees each temporary
 once read: self-loops dropped, duplicates collapsed to their first
 occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
@@ -306,6 +308,16 @@ def build_graph(edges, directed: bool = False, isolated=(),
             yield head
 
     ids = np.fromiter(ends(), np.int32)
+    return _labelled_graph(label_to_id, ids, np.frombuffer(weights),
+                           directed, isolated, coordinates)
+
+
+def _labelled_graph(label_to_id: dict, ids, weights, directed: bool,
+                    isolated=(), coordinates=None) -> Graph:
+    """The Graph of the edges whose ends `ids` holds (tail, head, ...),
+    interned by `label_to_id`: the tail `build_graph` and the chunked
+    parse share, from the labels and isolated nodes to `_from_arcs`."""
+    intern = label_to_id.setdefault
     for lbl in isolated:
         try:
             intern(lbl, len(label_to_id))
@@ -315,8 +327,7 @@ def build_graph(edges, directed: bool = False, isolated=(),
     labels = list(label_to_id)
     coords = None if coordinates is None else _coords(coordinates, labels)
     plain = all(lbl == i for i, lbl in enumerate(labels))
-    return _from_arcs(len(labels), directed, ids[0::2], ids[1::2],
-                      np.frombuffer(weights),
+    return _from_arcs(len(labels), directed, ids[0::2], ids[1::2], weights,
                       labels=None if plain else tuple(labels), coords=coords,
                       _label_to_id=label_to_id if not plain else {})
 

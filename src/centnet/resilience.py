@@ -40,12 +40,14 @@ class AttackPlan:
             raise GraphInputError("runs must be an integer >= 1")
         if not isinstance(self.rng_seed, Integral):
             raise GraphInputError("rng_seed must be an integer")
+        if not isinstance(self.sources, (list, tuple)):
+            raise GraphInputError(f"sources must be a list: {self.sources!r}")
         if not isinstance(self.phi_grid, (list, tuple)):
             raise GraphInputError("phi_grid must be a list of numbers, not "
                                   f"{self.phi_grid!r}")
         try:
             grid = sorted({float(x) for x in self.phi_grid})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphInputError(f"phi_grid must hold numbers: {exc}") from exc
         if not all(0.0 <= x <= 1.0 for x in grid):
             raise GraphInputError("phi values must lie in [0,1]")
