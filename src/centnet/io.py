@@ -263,7 +263,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with _reading(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError; an over-long integer
         raise GraphInputError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphInputError(f"config {path} must be a JSON object")

@@ -265,6 +265,14 @@ class TestConfig:
         ({"input_path": "x", "attack": {"beta": None}}, "beta"),
         ({"input_path": "x", "attack": {"rng_seed": "x"}}, "rng_seed"),
         ({"input_path": "x", "attack": {"phi_grid": "1"}}, "phi_grid"),
+        # an integer too large for a float used to escape as a bare
+        # OverflowError; sources that are not a list failed later in
+        # run_experiment, or ran one error row per letter of a string
+        ({"input_path": "x", "attack": {"phi_grid": [10 ** 400]}},
+         "phi_grid"),
+        ({"input_path": "x", "metrics": 5, "attack": {}}, "sources"),
+        ({"input_path": "x", "attack": {"sources": None}}, "sources"),
+        ({"input_path": "x", "metrics": "degree", "attack": {}}, "sources"),
     ])
     def test_malformed_field(self, tmp_path, data, field):
         cfg = tmp_path / "cfg.json"
@@ -276,6 +284,15 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         with pytest.raises(GraphInputError):
+            cio.load_config(str(cfg))
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json.load refuses an integer literal of more than 4300 digits
+        # with a bare ValueError, not a JSONDecodeError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"input_path": "x", "attack": {"phi_grid": [1%s]}}'
+                       % ("0" * 5000))
+        with pytest.raises(GraphInputError, match="cfg.json"):
             cio.load_config(str(cfg))
 
     def test_non_utf8_names_the_file(self, tmp_path):

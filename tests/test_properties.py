@@ -1,6 +1,8 @@
 """Hypothesis properties of the graph substrate, checked against networkx
 and the reference loops in oracles.py."""
 
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from centnet import (
     rank_targets,
 )
 from centnet.globalmetrics import betweenness_family, closeness_family
-from centnet.io import parse_edge_list
+from centnet.io import ExperimentConfig, load_config, parse_edge_list
 from centnet.params import score_vector
 from centnet.resilience import removal_count
 
@@ -343,3 +345,41 @@ def test_parse_takes_any_bytes(tmp_path, data, directed):
         return
     _assert_same_graph(g, build_graph(oracles.parse_edge_lines(path),
                                       directed=directed))
+
+
+# JSON values for configs: scalars, among them integers too large for a
+# float and the NaN and Infinity that json.dump writes, nested in lists
+# and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() |
+    st.text(max_size=4) | st.sampled_from([10 ** 400, -(2 ** 1024), 0.5]),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+ATTACK_KEYS = st.sampled_from(
+    ["kind", "sources", "phi_grid", "beta", "runs", "rng_seed"])
+CONFIG_KEYS = st.sampled_from(
+    ["input_path", "directed", "metrics", "output_path", "output_format"])
+PLAN_VALUES = JSON_VALUES | st.sampled_from(
+    ["non-infectious", "infectious", "random", ["degree"], [0.1, 0.5]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSON_VALUES | st.fixed_dictionaries(
+    {"input_path": JSON_VALUES,
+     "attack": st.dictionaries(ATTACK_KEYS, PLAN_VALUES)},
+    optional={"config": st.dictionaries(CONFIG_KEYS, PLAN_VALUES)}))
+@example({"input_path": "x", "attack": {"phi_grid": [10 ** 400]}})
+def test_load_config_takes_any_json(tmp_path, data):
+    """Whatever JSON value the file holds, load_config returns a config
+    or raises GraphInputError."""
+    if isinstance(data, dict) and isinstance(data.get("config"), dict):
+        data.update(data.pop("config"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    try:
+        config = load_config(path)
+    except GraphInputError:
+        return
+    assert isinstance(config, ExperimentConfig)
