@@ -3,10 +3,10 @@
 `parse_edge_list` reads `_CHUNK_CHARS` characters and the rest of the
 line at a time, checks all lines of the chunk at once on the classes of
 its bytes, and interns each label token of one split of it into one
-int32 id stream; a chunk holds about 25 bytes per character. A file that
-is not printable ASCII, mixes 2- and 3-column lines or has a line the
-line loop refuses is read again by that loop, into `build_graph`, so
-every graph and every error are the line loop's.
+int32 id stream; a chunk of short labels holds about 30 bytes per
+character. A file that is not printable ASCII, mixes 2- and 3-column
+lines or has a line the line loop refuses is read again by that loop,
+into `build_graph`, so every graph and every error are the loop's.
 """
 
 from __future__ import annotations
@@ -93,11 +93,10 @@ def parse_edge_list(path, directed: bool = False,
     return g
 
 
-_CHUNK_CHARS = 1 << 15
+_CHUNK_CHARS = 1 << 12
 
-# Byte classes: 0 refused (of the ASCII controls, only the spaces that
-# str.split and str.strip agree on pass), 1 space, 2 line end (text mode
-# reads each as \n), 3 comma, 4 comment mark, 5 other token bytes.
+# Byte classes: 0 refused (all controls but the spaces str.split and strip
+# agree on, and \n), 1 space, 2 \n, 3 comma, 4 comment mark, 5 other.
 _CLASS = np.array([5 * (32 < b < 127) for b in range(128)], np.uint8)
 _CLASS[[ord(ch) for ch in " \t\x0b\x0c\n,#%"]] = (1, 1, 1, 1, 2, 3, 4, 4)
 
@@ -110,15 +109,15 @@ def _parse_chunks(fh, directed, coords) -> Graph | None:
     ids, weights = array("i"), array("d")
     try:
         while chunk := fh.read(_CHUNK_CHARS):
-            chunk += fh.readline() + "\n"      # ends the file's last line
+            chunk = "\n" + chunk + fh.readline() + "\n"    # ends each line
             c = _CLASS[np.frombuffer(chunk.encode("ascii"), np.uint8)]
-            starts = np.flatnonzero(np.diff(c >= 4, prepend=False) & (c >= 4))
-            per_line = np.diff(starts.searchsorted(np.flatnonzero(c == 2)),
-                               prepend=0)
+            # the byte before each token, and the tokens of each line
+            before = np.flatnonzero((c[1:] >= 4) > (c[:-1] >= 4))
+            per_line = np.diff(before.searchsorted(np.flatnonzero(c == 2)))
             q = c[c != 1]                       # the classes but spaces
             ends = np.flatnonzero(q == 2)
-            span = np.diff(ends, prepend=-1) - 1
-            comment = q[ends - span] == 4
+            span = ends[1:] - ends[:-1] - 1
+            comment = q[ends[:-1] + 1] == 4
             width = per_line[~comment & (per_line > 0)]
             cols = (3 if weights else 2) if ids else (width[:1].sum() or 2)
             if not c.all() or cols not in (2, 3) or (width != cols).any() \
@@ -131,7 +130,8 @@ def _parse_chunks(fh, directed, coords) -> Graph | None:
             if cols == 3:
                 weights.extend(map(float, tokens[2::3]))
                 tokens = compress(tokens, cycle((True, True, False)))
-            ids.extend(map(label_to_id.__getitem__, tokens))
+            ids.frombytes(np.fromiter(map(label_to_id.__getitem__, tokens),
+                                      np.int32, 2 * width.size).tobytes())
     except (UnicodeError, ValueError):     # not ASCII; a bad weight
         return None
     m = len(ids) // 2
