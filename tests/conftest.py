@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from centnet import build_graph, graph  # noqa: E402
+from centnet import io as cio  # noqa: E402
 
 
 def _atlas_connected():
@@ -56,6 +57,13 @@ def small_blocks(monkeypatch):
     common-neighbour kernel, the ball sums of collective influence and
     volume, and `traverse` each cut many blocks."""
     monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 64)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 4 characters and the rest of their last line, so that
+    `parse_edge_list` reads a file of a few lines in many chunks."""
+    monkeypatch.setattr(cio, "_CHUNK_CHARS", 4)
 
 
 def path_graph(k):

@@ -211,6 +211,35 @@ def test_path_ids_share_one_sweep(case, monkeypatch):
         assert value == _value(dataclasses.replace(g), mid), mid
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_gdsp_reads_the_sweep_on_unit_weights(case, monkeypatch, alpha):
+    """On unit weights, gdsp-betweenness and gdsp-closeness read the
+    input's memoised sweep: after betweenness they add no all-source
+    traversal, where weighted input traverses its reweighted copy once
+    per id. Their values equal those on the reweighted copy of a fresh
+    Graph, since 1 / 1^alpha is exactly 1."""
+    calls, traverse = [], globalmetrics.traverse
+
+    def counted(g, sources, cap=None):
+        calls.append(len(sources))
+        return traverse(g, sources, cap)
+
+    monkeypatch.setattr(globalmetrics, "traverse", counted)
+    g = dataclasses.replace(case[0])
+    _value(g, "betweenness")
+    got = [registry.compute_point_metric(g, f"gdsp-{mid}",
+                                         {"alpha": alpha}).values
+           for mid in ("betweenness", "closeness")]
+    assert calls == [g.n] * (1 if g.unit_weights else 3)
+    h = globalmetrics._alpha_distance_graph(dataclasses.replace(g), alpha)
+    assert got == [betweenness_family(h).values,
+                   closeness_family(h).values]
+    fresh = dataclasses.replace(g)
+    assert got == [registry.compute_point_metric(
+        fresh, f"gdsp-{mid}", {"alpha": alpha}).values
+        for mid in ("betweenness", "closeness")]
+
+
 def test_grid_sigma_beyond_float_precision():
     """Corner-to-corner geodesics of a 32 x 32 grid number C(62, 31),
     about 4.7e17, past the 2**53 up to which float64 counts exactly."""

@@ -20,6 +20,7 @@ from centnet import (
     rank_targets,
 )
 from centnet.globalmetrics import betweenness_family, closeness_family
+from centnet import io as cio
 from centnet.io import ExperimentConfig, load_config, parse_edge_list
 from centnet.params import score_vector
 from centnet.resilience import removal_count
@@ -303,10 +304,29 @@ def edge_files(draw):
 @given(edge_files(), st.booleans())
 @example("# c\r\n% c\n,#,2\r1,2\t1.5\n\n1\x0c2\r\n2\x1c3\n3\u2028a 2\n"
          "\t a , b \r1 a\r\n", False)
+@example("1 2 3 4\n5 6 7 8\n", False)
 def test_parse_matches_the_line_parser(tmp_path, text, directed):
     """The streaming parse builds the graph of the edges that the
     readlines parse reads, or raises the same error at the same
     path:lineno."""
+    _check_parse_matches(tmp_path, text, directed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_files(), st.booleans())
+@example("# c\r\n% c\n,#,2\r1,2\t1.5\n\n1\x0c2\r\n2\x1c3\n3\u2028a 2\n"
+         "\t a , b \r1 a\r\n", False)
+@example("1 2\r\n2 3\r\n3,4\r\n#,5 6\r\n%\r\n4 5 6 7\r\n", False)
+def test_parse_in_small_chunks_matches_the_line_parser(
+        tmp_path, small_chunks, text, directed):
+    """The same, reading every file in many chunks: reads that end inside
+    a line or between its \r and \n, and refusals after accepted
+    chunks."""
+    _check_parse_matches(tmp_path, text, directed)
+
+
+def _check_parse_matches(tmp_path, text, directed):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -334,9 +354,24 @@ BYTE_PIECES = st.sampled_from([
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.binary() | st.lists(BYTE_PIECES).map(b"".join), st.booleans())
 @example(b"1 2\n\xc2\x85a\xe2\x80\xa8b 3\r# x\n2\x001 1e308\n", False)
+@example(b"1\x002 3\n4 5 6\n", False)
 def test_parse_takes_any_bytes(tmp_path, data, directed):
     """Whatever the bytes, the streaming parse raises GraphInputError or
     builds the graph of the edges that the readlines parse reads."""
+    _check_parse_takes(tmp_path, data, directed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary() | st.lists(BYTE_PIECES).map(b"".join), st.booleans())
+@example(b"1 2\n\xc2\x85a\xe2\x80\xa8b 3\r# x\n2\x001 1e308\n", False)
+def test_parse_in_small_chunks_takes_any_bytes(tmp_path, small_chunks,
+                                               data, directed):
+    """The same, reading every file in many chunks."""
+    _check_parse_takes(tmp_path, data, directed)
+
+
+def _check_parse_takes(tmp_path, data, directed):
     path = tmp_path / "g.bin"
     path.write_bytes(data)
     try:
@@ -345,6 +380,68 @@ def test_parse_takes_any_bytes(tmp_path, data, directed):
         return
     _assert_same_graph(g, build_graph(oracles.parse_edge_lines(path),
                                       directed=directed))
+
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The edge lists that parse_edge_list hands to build_graph, which
+    only the line loop calls."""
+    calls = []
+
+    def counted(edges, *args, **kwargs):
+        calls.append(1)
+        return build_graph(edges, *args, **kwargs)
+
+    monkeypatch.setattr(cio, "build_graph", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, directed", [
+    ("# Directed graph (each unordered pair of nodes is saved once)\n"
+     "# Nodes: 5 Edges: 6\n# FromNodeId\tToNodeId\n"
+     "0\t1\n0\t2\n1\t2\n2\t3\n3\t4\n4\t0\n4\t0\n3\t3\n", True),
+    ("% weighted, comma separated\na,b,1.5\n b , c ,2\n\nc,a,0.25\r\n"
+     "a,b,7\n", False),
+])
+def test_chunks_take_common_files(tmp_path, monkeypatch, text, directed):
+    """A SNAP-style file (header comments, tab-separated ids) and a
+    comma-separated weighted one never reach the line loop, and build
+    its graph."""
+    path = tmp_path / "g.txt"
+    path.write_text(text * 2000)
+    calls = _counting_builds(monkeypatch)
+    g = parse_edge_list(path, directed=directed)
+    assert calls == []
+    _assert_same_graph(g, build_graph(oracles.parse_edge_lines(path),
+                                      directed=directed))
+    with pytest.raises(KeyError):       # a read adds no label
+        g.id_of("z")
+
+
+@pytest.mark.parametrize("tail", [
+    "\u00fc 1\n",                     # a non-ASCII label
+    "",
+    "1 2 3 4\n",                       # a bad line
+    "1 2 0\n",
+    "\u00fc 1\n1,,\n",
+])
+def test_refused_chunks_go_to_the_line_loop(tmp_path, monkeypatch, tail):
+    """A non-ASCII label or a bad line after some 50 000 characters of
+    accepted lines sends the file to the line loop: its graph, or its
+    error at its path:lineno."""
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(6000)) + tail +
+                    "0 5\n")
+    calls = _counting_builds(monkeypatch)
+    try:
+        edges = oracles.parse_edge_lines(path)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as err:
+            parse_edge_list(path)
+        assert str(err.value) == str(exc)
+    else:
+        _assert_same_graph(parse_edge_list(path), build_graph(edges))
+    assert calls == ([] if tail == "" else [1])
 
 
 # JSON values for configs: scalars, among them integers too large for a
