@@ -9,11 +9,11 @@ A `Graph` is read-only compressed rows (CSR arrays) of out- and
 in-neighbours. `build_graph` reads any iterable of edges once, checking
 each edge as it reads it and naming the first malformed one; it interns
 the labels in a dict as it goes and streams the ids into an int32 array.
-From there `_labelled_graph` is the tail it shares with the chunked
-parse of `io`: isolated nodes, labels and coordinates, then `_from_arcs`,
-which builds both row sets with one sort and frees each temporary
-once read: self-loops dropped, duplicates collapsed to their first
-occurrence, each row sorted by neighbour id.
+Its edge loop (`_edge_ids`) and its tail (`_labelled_graph`: isolated
+nodes, labels and coordinates, then `_from_arcs`) serve the chunked
+parse of `io` too. `_from_arcs` builds both row sets with one sort and
+frees each temporary once read: self-loops dropped, duplicates collapsed
+to their first occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
 operator, which `components` (through scipy.sparse.csgraph) and the
 metrics read. `Graph.adj`, the out-rows as tuples, is derived only when
@@ -288,28 +288,31 @@ def build_graph(edges, directed: bool = False, isolated=(),
     weights into a float64 one, which `_from_arcs` reads as they are.
     """
     label_to_id: dict = {}
-    intern = label_to_id.setdefault
     weights = array("d")
-
-    def ends():
-        for idx, e in enumerate(edges):
-            try:
-                width = len(e)
-                w = 1.0 if width == 2 else float(e[2])
-                tail = intern(e[0], len(label_to_id))
-                head = intern(e[1], len(label_to_id))
-            except (TypeError, ValueError, IndexError, KeyError,
-                    OverflowError) as exc:
-                raise _malformed(idx, e) from exc
-            if width not in (2, 3) or not 0.0 < w < INF:
-                raise _malformed(idx, e)
-            weights.append(w)
-            yield tail
-            yield head
-
-    ids = np.fromiter(ends(), np.int32)
+    ids = np.fromiter(_edge_ids(edges, label_to_id, weights), np.int32)
     return _labelled_graph(label_to_id, ids, np.frombuffer(weights),
                            directed, isolated, coordinates)
+
+
+def _edge_ids(edges, label_to_id: dict, weights):
+    """The tail and head ids of each edge in turn, checked as
+    `build_graph` checks them; new labels are interned in `label_to_id`
+    and each weight is appended to `weights`."""
+    intern = label_to_id.setdefault
+    for idx, e in enumerate(edges):
+        try:
+            width = len(e)
+            w = 1.0 if width == 2 else float(e[2])
+            tail = intern(e[0], len(label_to_id))
+            head = intern(e[1], len(label_to_id))
+        except (TypeError, ValueError, IndexError, KeyError,
+                OverflowError) as exc:
+            raise _malformed(idx, e) from exc
+        if width not in (2, 3) or not 0.0 < w < INF:
+            raise _malformed(idx, e)
+        weights.append(w)
+        yield tail
+        yield head
 
 
 def _labelled_graph(label_to_id: dict, ids, weights, directed: bool,

@@ -1,28 +1,29 @@
 """Edge-list ingestion, dataset statistics, and result emission.
 
 `parse_edge_list` reads `_CHUNK_CHARS` characters and the rest of the
-line at a time, checks all lines of the chunk at once on the classes of
-its bytes, and interns each label token of one split of it into one
-int32 id stream; a chunk of short labels holds about 30 bytes per
-character. A file that is not printable ASCII, mixes 2- and 3-column
-lines or has a line the line loop refuses is read again by that loop,
-into `build_graph`, so every graph and every error are the loop's.
+line at a time, checks all lines of a chunk with one match of a regular
+expression, and interns its label tokens into one int32 id stream
+(a chunk of short labels holds about 13 bytes per character). From the
+first chunk refused, the line loop reads on into the same labels and
+ids, so every graph and every error are its own; the file is read once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, count, cycle
+from io import StringIO
+from itertools import chain, count
 
 import numpy as np
 
 from .errors import GraphInputError
-from .graph import Graph, _labelled_graph, build_graph
+from .graph import Graph, _edge_ids, _labelled_graph, build_graph
 from .resilience import AttackPlan
 
 
@@ -54,12 +55,13 @@ def parse_edge_list(path, directed: bool = False,
     """One edge per line: "u v [w]", whitespace or comma separated.
 
     Lines starting with '#' or '%' are comments (the public datasets use
-    both conventions); the line loop below names the first bad line.
-    Duplicate edges collapse, self-loops drop; both are counted on the
-    returned graph.
+    both conventions). `_parse_chunks` reads the file; from the first
+    chunk it refuses, the line loop below reads on and names the first
+    bad line. Duplicate edges collapse, self-loops drop; both are counted
+    on the returned graph.
     """
-    def edges(lines):
-        for lineno, line in enumerate(lines, start=1):
+    def edges(lines, start):
+        for lineno, line in enumerate(lines, start=start):
             text = line.strip()
             if not text or text.startswith("#") or text.startswith("%"):
                 continue
@@ -82,10 +84,7 @@ def parse_edge_list(path, directed: bool = False,
 
     coords = None if coords_path is None else _parse_coords(coords_path)
     with _reading(path) as fh:
-        g = _parse_chunks(fh, directed, coords)
-    if g is None:
-        with _reading(path) as fh:
-            g = build_graph(edges(fh), directed=directed, coordinates=coords)
+        g = _parse_chunks(fh, directed, coords, edges)
     # each edge read is kept, dropped as a self-loop or collapsed as a
     # duplicate, so a file of self-loops alone is not empty
     if not g.m + g.self_loops_dropped + g.duplicates_collapsed:
@@ -93,55 +92,73 @@ def parse_edge_list(path, directed: bool = False,
     return g
 
 
-_CHUNK_CHARS = 1 << 12
+_CHUNK_CHARS = 1 << 11
 
-# Byte classes: 0 refused (all controls but the spaces str.split and strip
-# agree on, and \n), 1 space, 2 \n, 3 comma, 4 comment mark, 5 other.
-_CLASS = np.array([5 * (32 < b < 127) for b in range(128)], np.uint8)
-_CLASS[[ord(ch) for ch in " \t\x0b\x0c\n,#%"]] = (1, 1, 1, 1, 2, 3, 4, 4)
+# Lines that the chunk path reads as the line loop would: each one blank,
+# a comment (its first character but spaces is '#' or '%') or k tokens of
+# printable ASCII split by spaces and commas. The possessive quantifiers
+# (*+, ++, ?+) never backtrack.
+_SPACE, _SEP, _TOKEN = r"[ \t\x0b\x0c]", r"[ \t\x0b\x0c,]", r"[!-+\--~]"
+_CHUNK = {k: re.compile(
+    rf"(?: {_SPACE}*+ (?: [#%][ -~\t\x0b\x0c]*+ | {_SEP}*+ {_TOKEN}++"
+    rf" (?: {_SEP}++ {_TOKEN}++ ){{{k - 1}}} {_SEP}*+ )?+ \n )*+", re.X)
+    for k in (2, 3)}
+_COMMENT = re.compile(r"^[ \t\x0b\x0c]*[#%].*", re.M)
 
 
-def _parse_chunks(fh, directed, coords) -> Graph | None:
-    """The Graph of the edges of `fh`, or None when a line is refused: a
-    comment line's first byte but spaces is '#' or '%'; any other holds
-    spaces alone or 2 or 3 tokens, as many as every edge line holds."""
+def _parse_chunks(fh, directed, coords, line_loop) -> Graph:
+    """The Graph of `fh`'s edges, read a chunk at a time while each chunk
+    matches `_CHUNK` for the width of the edge lines before it and has
+    positive finite weights. `line_loop` reads the first chunk refused
+    and the rest, numbered on from its first line."""
     label_to_id = defaultdict(count().__next__)
-    ids, weights = array("i"), array("d")
-    try:
-        while chunk := fh.read(_CHUNK_CHARS):
-            chunk = "\n" + chunk + fh.readline() + "\n"    # ends each line
-            c = _CLASS[np.frombuffer(chunk.encode("ascii"), np.uint8)]
-            # the byte before each token, and the tokens of each line
-            before = np.flatnonzero((c[1:] >= 4) > (c[:-1] >= 4))
-            per_line = np.diff(before.searchsorted(np.flatnonzero(c == 2)))
-            q = c[c != 1]                       # the classes but spaces
-            ends = np.flatnonzero(q == 2)
-            span = ends[1:] - ends[:-1] - 1
-            comment = q[ends[:-1] + 1] == 4
-            width = per_line[~comment & (per_line > 0)]
-            cols = (3 if weights else 2) if ids else (width[:1].sum() or 2)
-            if not c.all() or cols not in (2, 3) or (width != cols).any() \
-                    or ((per_line == 0) & (span > 0)).any():  # commas alone
-                return None
-            tokens = chunk.replace(",", " ").split()
-            if comment.any():
-                tokens = list(compress(
-                    tokens, np.repeat(~comment, per_line).tolist()))
-            if cols == 3:
-                weights.extend(map(float, tokens[2::3]))
-                tokens = compress(tokens, cycle((True, True, False)))
-            ids.frombytes(np.fromiter(map(label_to_id.__getitem__, tokens),
-                                      np.int32, 2 * width.size).tobytes())
-    except (UnicodeError, ValueError):     # not ASCII; a bad weight
-        return None
-    m = len(ids) // 2
-    w = np.frombuffer(weights) if weights else np.broadcast_to(1.0, m)
-    if not ((w > 0.0) & (w < math.inf)).all():
-        return None
-    label_to_id.default_factory = None
-    return _labelled_graph(label_to_id, np.frombuffer(ids, np.int32), w,
-                           directed, coordinates=coords)
+    weights, refused = array("d"), []
 
+    def labels():
+        """The label tokens of each chunk taken, in order."""
+        cols, lineno = 0, 1
+        while text := fh.read(_CHUNK_CHARS):
+            text += fh.readline()
+            lines = text if text.endswith("\n") else text + "\n"
+            k = cols or (3 if _CHUNK[3].fullmatch(lines) else 2)
+            if not _CHUNK[k].fullmatch(lines):
+                break
+            if "#" in lines or "%" in lines:
+                lines = _COMMENT.sub("", lines)
+            tokens = lines.replace(",", " ").split()
+            cols = k if tokens else cols
+            if cols == 3:
+                try:
+                    w = array("d", map(float, tokens[2::3]))
+                except ValueError:      # a bad weight
+                    break
+                if not all(0.0 < x < math.inf for x in w):
+                    break
+                weights.extend(w)
+                del tokens[2::3]
+            yield tokens
+            lineno += text.count("\n")
+        if text:
+            refused.append((text, lineno))
+
+    try:
+        ids = np.fromiter(map(label_to_id.__getitem__,
+                              chain.from_iterable(labels())), np.int32)
+    except UnicodeDecodeError:
+        if not fh.seekable():
+            raise
+        fh.seek(0)      # the loop names a bad line before the bad bytes
+        return build_graph(line_loop(fh, 1), directed, coordinates=coords)
+    if refused:                         # the line loop reads on from it
+        text, lineno = refused[0]
+        weights = weights or array("d", [1.0]) * (ids.size // 2)
+        rest = line_loop(chain(StringIO(text), fh), lineno)
+        tail = np.fromiter(_edge_ids(rest, label_to_id, weights), np.int32)
+        ids = np.concatenate((ids, tail))
+    w = np.frombuffer(weights) if weights else \
+        np.broadcast_to(1.0, ids.size // 2)
+    label_to_id.default_factory = None
+    return _labelled_graph(label_to_id, ids, w, directed, coordinates=coords)
 
 @contextmanager
 def _reading(path):

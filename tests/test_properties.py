@@ -2,6 +2,9 @@
 and the reference loops in oracles.py."""
 
 import json
+import os
+import re
+import threading
 
 import networkx as nx
 import numpy as np
@@ -383,16 +386,20 @@ def _check_parse_takes(tmp_path, data, directed):
 
 
 
-def _counting_builds(monkeypatch) -> list:
-    """The edge lists that parse_edge_list hands to build_graph, which
-    only the line loop calls."""
+def _counting_line_loops(monkeypatch) -> list:
+    """The edge streams that parse_edge_list reads with its line loop,
+    which reads on from a refused chunk or reads a file that is not
+    UTF-8 again."""
     calls = []
 
-    def counted(edges, *args, **kwargs):
-        calls.append(1)
-        return build_graph(edges, *args, **kwargs)
+    def counted(build):
+        def call(edges, *args, **kwargs):
+            calls.append(1)
+            return build(edges, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cio, "build_graph", counted)
+    for name in ("build_graph", "_edge_ids"):
+        monkeypatch.setattr(cio, name, counted(getattr(cio, name)))
     return calls
 
 
@@ -409,7 +416,7 @@ def test_chunks_take_common_files(tmp_path, monkeypatch, text, directed):
     its graph."""
     path = tmp_path / "g.txt"
     path.write_text(text * 2000)
-    calls = _counting_builds(monkeypatch)
+    calls = _counting_line_loops(monkeypatch)
     g = parse_edge_list(path, directed=directed)
     assert calls == []
     _assert_same_graph(g, build_graph(oracles.parse_edge_lines(path),
@@ -427,12 +434,12 @@ def test_chunks_take_common_files(tmp_path, monkeypatch, text, directed):
 ])
 def test_refused_chunks_go_to_the_line_loop(tmp_path, monkeypatch, tail):
     """A non-ASCII label or a bad line after some 50 000 characters of
-    accepted lines sends the file to the line loop: its graph, or its
-    error at its path:lineno."""
+    accepted lines sends the rest of the file to the line loop: its
+    graph, or its error at its path:lineno."""
     path = tmp_path / "g.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(6000)) + tail +
                     "0 5\n")
-    calls = _counting_builds(monkeypatch)
+    calls = _counting_line_loops(monkeypatch)
     try:
         edges = oracles.parse_edge_lines(path)
     except GraphInputError as exc:
@@ -443,6 +450,65 @@ def test_refused_chunks_go_to_the_line_loop(tmp_path, monkeypatch, tail):
         _assert_same_graph(parse_edge_list(path), build_graph(edges))
     assert calls == ([] if tail == "" else [1])
 
+
+@pytest.mark.parametrize("tail", [
+    b"", "\u00fc 1\n".encode(), b"1 2 0.5\n", b"1 2 3 4\n", b"1 2\n\xff\n",
+])
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipes_are_read_once(tmp_path, tail):
+    """A file that cannot be rewound, a pipe here, is read once: a
+    chunk refused after some 50 000 characters goes on to the line loop
+    with the rest of the stream, which builds the graph of the same file
+    on disk or raises its error."""
+    data = "".join(f"{i} {i + 1}\n" for i in range(6000)).encode() + tail \
+        + b"0 5\n"
+    disk = tmp_path / "g.txt"
+    disk.write_bytes(data)
+    read_end, write_end = os.pipe()
+    pipe = f"/dev/fd/{read_end}"
+
+    def write():
+        try:
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:         # the parse stopped at an error
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        g = parse_edge_list(pipe)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as err:
+            parse_edge_list(disk)
+
+        def unplaced(msg, path):
+            # a decoder names a position in the read that failed, and a
+            # pipe reads in other pieces than a file
+            return re.sub(r"position \d+", "", msg.replace(str(path), ""))
+        assert unplaced(str(exc), pipe) == unplaced(str(err.value), disk)
+    else:
+        _assert_same_graph(g, parse_edge_list(disk))
+    finally:
+        os.close(read_end)
+    writer.join(10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("lines, error", [
+    (1000, "is not UTF-8 text"),
+    (2046, "g.txt:2047: expected"),    # the bad line ends a decoded block
+    (3000, "is not UTF-8 text"),
+])
+def test_bad_line_before_bad_bytes(tmp_path, lines, error):
+    """The error the line loop meets first: bytes that are not UTF-8 in
+    the block of 8 KiB it decodes, or a bad line that ends the block
+    before them, though the chunk that holds the line reads on into the
+    next block."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"1 2\n" * lines + b"1 2 3 4\n\xff\n")
+    with pytest.raises(GraphInputError, match=error):
+        parse_edge_list(path)
 
 # JSON values for configs: scalars, among them integers too large for a
 # float and the NaN and Infinity that json.dump writes, nested in lists
