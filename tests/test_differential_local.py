@@ -25,6 +25,7 @@ from centnet.globalmetrics import (
     current_flow_closeness,
     generalized_weighted_family,
     information_centrality,
+    random_walk_betweenness,
     weight_neighborhood,
 )
 from centnet.graphmetrics import (
@@ -162,6 +163,23 @@ def test_current_flow(kind):
         want = nx.current_flow_closeness_centrality(sub, weight="weight")
         _close([cfc[v] for v in nodes], [len(nodes) * want[v]
                                          for v in nodes])
+
+
+@pytest.mark.parametrize("kind", UNDIRECTED)
+def test_current_flow_loop(kind):
+    """The four current-flow ids equal the per-edge loop exactly: each
+    component on its own on the union, random-walk betweenness as its
+    rescaling ((n-2) c + 2) / n and information as closeness on the
+    connected variants."""
+    g, _ = GRAPHS[kind]
+    split = kind == "union"
+    cfb, cfc = oracles.current_flow(g, per_component=split)
+    assert list(current_flow_betweenness(g, split).values) == cfb
+    assert list(current_flow_closeness(g, split).values) == cfc
+    if not split:
+        assert list(random_walk_betweenness(g).values) == \
+            [((N - 2) * c + 2) / N for c in cfb]
+        assert list(information_centrality(g).values) == cfc
 
 
 # -- against the node loops -------------------------------------------------

@@ -394,6 +394,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["2", "1"]
 
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    @pytest.mark.parametrize("strategy", registry.strategy_ids())
+    def test_select_refuses_budget_below_one(self, p3_file, capsys,
+                                             strategy, budget):
+        rc = cli_mod.main(["select", p3_file, "--strategy", strategy,
+                           f"--budget={budget}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: budget must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_bench_refuses_repeat_below_one(self, p3_file, capsys, repeat):
+        rc = cli_mod.main(["bench", p3_file, "--metrics", "degree",
+                           f"--repeat={repeat}"])
+        assert rc == 1
+        assert "input error: --repeat" in capsys.readouterr().err
+
+    def test_centrality_refuses_negative_top(self, p3_file, capsys):
+        rc = cli_mod.main(["centrality", p3_file, "--metric", "degree",
+                           "--top=-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: --top" in captured.err
+
+    def test_centrality_top0_prints_nothing(self, p3_file, capsys):
+        rc = cli_mod.main(["centrality", p3_file, "--metric", "degree",
+                           "--top", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+
     def test_attack_deterministic_outputs(self, tmp_path, p3_file):
         cfg = tmp_path / "cfg.json"
         out1 = tmp_path / "a.csv"
