@@ -72,6 +72,8 @@ def _cmd_centrality(args) -> int:
         return EXIT_OK
     if not args.metric:
         raise GraphInputError("centrality needs --metric (or --list)")
+    if args.top is not None and args.top < 0:
+        raise GraphInputError("--top must be >= 0")
     g = _load(args)
     scores = registry.compute_point_metric(
         g, args.metric, _collect_params(args.param, args.seed))
@@ -140,6 +142,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise GraphInputError("--repeat must be >= 1")
     g = _load(args)
     wildcard = args.metrics == "all"
     if wildcard:

@@ -6,8 +6,15 @@ Graph's life (5 float64 n-vectors). Closeness ids run its forward pass
 alone (per source: reached count, distance sum, farthest); betweenness or
 load add the sums of both backward sweeps, Brandes dependencies and load.
 
-Information centrality is current-flow closeness: both read the
-effective resistances of one grounded Laplacian inverse per component.
+The four current-flow ids read one kernel, `_current_flow`: one directed
+check, one `components` call and, per component of nc nodes, the inverse
+T of the Laplacian grounded at its last node. Closeness, and information
+centrality with it, sums each node's effective resistances
+T_ii + T_jj - 2 T_ij. Betweenness, and random-walk betweenness as its
+rescaling, sorts each edge's potential differences w (T_v - T_u) in
+blocks of edges, an (edges, nc) array sorted along its rows, reduces
+each row against (2i - nc + 1), and adds each edge's sum to its two ends
+with one bincount, in edge order.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .graph import (
     Graph,
     _from_arcs,
     components,
+    cut_blocks,
     max_flow,
     power_iteration,
     reciprocal,
@@ -35,11 +43,6 @@ from .iterative import k_shell
 from .params import MetricParams, ScoreVector, score_vector
 
 _CLAMP = 1e-12
-
-
-def _require_connected(g: Graph, name: str):
-    if g.n and components(g).giant_size != g.n:
-        raise UnsupportedGraphError(f"{name} needs a connected graph")
 
 
 # -- shortest-path betweenness family ------------------------------------
@@ -175,97 +178,76 @@ def flow_betweenness(g: Graph, normalized: bool = False,
     return sv
 
 
-def _grounded_inverse(sub) -> np.ndarray:
-    """Inverse of the Laplacian of the k x k weighted operator `sub`
-    with its last node grounded (that row and column are zero)."""
-    k = sub.shape[0]
-    require_dense(k, "grounded Laplacian inverse")
-    lap = -sub.toarray()
-    lap[np.diag_indices(k)] = sub @ np.ones(k)
-    return np.pad(solve_linear(lap[:-1, :-1]), (0, 1))
-
-
-def _component_nodes(g: Graph) -> list[np.ndarray]:
+def _current_flow(g: Graph, name: str, per_component: bool,
+                  betweenness: bool) -> np.ndarray:
+    """Current-flow betweenness (ordered pairs, prefactor
+    1/((n-1)(n-2))) or closeness (count-n prefactor) of every node, one
+    grounded inverse per component (module docstring); edges are unit
+    (or weight) conductances."""
+    if g.directed:
+        raise UnsupportedGraphError(f"{name} needs an undirected graph")
     lab = components(g)
+    if len(lab.sizes) > 1 and not per_component:
+        raise UnsupportedGraphError(f"{name} needs a connected graph")
+    vals = np.zeros(g.n)
     order = np.argsort(lab.labels, kind="stable")
-    return np.split(order, np.cumsum(lab.sizes)[:-1])
+    for nodes in np.split(order, np.cumsum(lab.sizes)[:-1]):
+        nc = len(nodes)
+        if nc < 2 + betweenness:
+            continue
+        require_dense(nc, "grounded Laplacian inverse")
+        sub = g.adjacency()[nodes][:, nodes]
+        lap = -sub.toarray()
+        lap[np.diag_indices(nc)] = sub @ np.ones(nc)
+        tmat = np.pad(solve_linear(lap[:-1, :-1]), (0, 1))
+        if not betweenness:
+            # each node's effective resistances to the others, summed:
+            # sum_j T_ii + T_jj - 2 T_ij
+            vals[nodes] = nc / (nc * np.diag(tmat) + np.trace(tmat)
+                                - 2.0 * tmat.sum(axis=1))
+            continue
+        # each edge once, row by row: the upper triangle
+        upper = scipy.sparse.triu(sub, 1, "csr")
+        tails = np.repeat(np.arange(nc), np.diff(upper.indptr))
+        edge_sums = np.empty(upper.nnz)
+        coef = 2 * np.arange(nc) - nc + 1
+        for b in cut_blocks(np.full(upper.nnz, nc)):
+            f = upper.data[b, None] * (tmat[tails[b]] - tmat[upper.indices[b]])
+            f.sort(axis=1)
+            # sum over node pairs s<t of |F(s)-F(t)| via sorted prefix
+            edge_sums[b] = (coef * f).sum(axis=1)
+        # each edge's sum to its tail, then its head, in edge order
+        ends = np.column_stack([tails, upper.indices]).ravel()
+        node_sums = np.bincount(ends, np.repeat(edge_sums, 2), nc)
+        vals[nodes] = (node_sums - (nc - 1)) / ((nc - 1) * (nc - 2))
+    return vals
 
 
 def current_flow_betweenness(g: Graph,
                              per_component: bool = False) -> ScoreVector:
-    """Electrical-current betweenness, ordered pairs, prefactor
-    1/((n-1)(n-2)); edges as unit (or weight) conductances."""
-    if g.directed:
-        raise UnsupportedGraphError(
-            "current-flow betweenness needs an undirected graph")
-    comps = _component_nodes(g)
-    if len(comps) > 1 and not per_component:
-        raise UnsupportedGraphError(
-            "current-flow betweenness on a disconnected graph needs "
-            "per_component=True")
-    vals = np.zeros(g.n)
-    for nodes in comps:
-        nc = len(nodes)
-        if nc < 3:
-            continue
-        sub = g.adjacency()[nodes][:, nodes]
-        tmat = _grounded_inverse(sub)
-        # each edge once, row by row: the upper triangle
-        upper = scipy.sparse.triu(sub, 1, "csr")
-        tails = np.repeat(np.arange(nc), np.diff(upper.indptr)).tolist()
-        edge_sum = np.zeros(nc)
-        i = np.arange(nc)
-        for v, u, w in zip(tails, upper.indices.tolist(),
-                           upper.data.tolist()):
-            f = w * (tmat[v] - tmat[u])
-            f.sort()
-            # sum over node pairs s<t of |F(s)-F(t)| via sorted prefix
-            s_e = float(np.sum((2 * i - nc + 1) * f))
-            edge_sum[v] += s_e
-            edge_sum[u] += s_e
-        vals[nodes] = (edge_sum - (nc - 1)) / ((nc - 1) * (nc - 2))
-    return score_vector("current-flow-betweenness", vals)
+    """Electrical-current betweenness; a disconnected graph needs
+    `per_component`, which scores each component on its own."""
+    return score_vector("current-flow-betweenness", _current_flow(
+        g, "current-flow betweenness", per_component, betweenness=True))
 
 
 def current_flow_closeness(g: Graph,
                            per_component: bool = False) -> ScoreVector:
     """Closeness under effective resistances, aligned with information
-    centrality (count-n prefactor)."""
-    if g.directed:
-        raise UnsupportedGraphError(
-            "current-flow closeness needs an undirected graph")
-    comps = _component_nodes(g)
-    if len(comps) > 1 and not per_component:
-        raise UnsupportedGraphError(
-            "current-flow closeness on a disconnected graph needs "
-            "per_component=True")
-    vals = np.zeros(g.n)
-    for nodes in comps:
-        nc = len(nodes)
-        if nc < 2:
-            continue
-        tmat = _grounded_inverse(g.adjacency()[nodes][:, nodes])
-        # each node's effective resistances to the others, summed:
-        # sum_j T_ii + T_jj - 2 T_ij
-        vals[nodes] = nc / (nc * np.diag(tmat) + np.trace(tmat)
-                            - 2.0 * tmat.sum(axis=1))
-    return score_vector("current-flow-closeness", vals)
+    centrality; `per_component` as for current-flow betweenness."""
+    return score_vector("current-flow-closeness", _current_flow(
+        g, "current-flow closeness", per_component, betweenness=False))
 
 
 def random_walk_betweenness(g: Graph) -> ScoreVector:
     """Newman's random-walk betweenness, in which each pair's endpoints
     count 1, as the rescaling ((n-2) * cfb + 2) / n of current-flow
     betweenness on a connected graph."""
-    if g.directed:
-        raise UnsupportedGraphError(
-            "random-walk betweenness needs an undirected graph")
-    _require_connected(g, "random-walk betweenness")
+    cfb = _current_flow(g, "random-walk betweenness", per_component=False,
+                        betweenness=True)
     n = g.n
-    if n < 2:
-        return score_vector("random-walk-betweenness", [0.0] * n)
-    cfb = current_flow_betweenness(g).values
     return score_vector("random-walk-betweenness",
-                        [((n - 2) * c + 2) / n for c in cfb])
+                        ((n - 2) * cfb + 2) / n if n > 1 else cfb)
 
 
 # -- closeness family -------------------------------------------------------
@@ -330,13 +312,9 @@ def closeness_family(g: Graph, metric: str = "closeness",
 def information_centrality(g: Graph) -> ScoreVector:
     """Stephenson-Zelen information centrality: current-flow closeness
     on a connected undirected graph (Brandes & Fleischer 2005)."""
-    if g.directed:
-        raise UnsupportedGraphError(
-            "information centrality needs an undirected graph")
-    _require_connected(g, "information centrality")
-    if g.n < 2:
-        return score_vector("information", [0.0] * g.n)
-    return score_vector("information", current_flow_closeness(g).values)
+    return score_vector("information", _current_flow(
+        g, "information centrality", per_component=False,
+        betweenness=False))
 
 
 # -- k-shell tie-broken ranking -------------------------------------------

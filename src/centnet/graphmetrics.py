@@ -72,8 +72,9 @@ def centralization(g: Graph, base: str) -> GraphMetricValue:
     n = g.n
     if n < 3:
         raise GraphInputError("centralization needs n >= 3")
-    if base == "betweenness":
-        raw = betweenness_family(g, "betweenness").values
+    if base in ("betweenness", "flow-betweenness"):
+        raw = (betweenness_family(g, "betweenness") if base == "betweenness"
+               else flow_betweenness(g, normalized=True)).values
         pairs = (n - 1) * (n - 2) if g.directed else (n - 1) * (n - 2) / 2
         norm = [x / pairs for x in raw]
         value = sum(max(norm) - x for x in norm) / (n - 1)
@@ -85,11 +86,6 @@ def centralization(g: Graph, base: str) -> GraphMetricValue:
         norm = [(n - 1) * x for x in clo]
         value = sum(max(norm) - x for x in norm) \
             / ((n ** 2 - 3 * n + 2) / (2 * n - 3))
-    elif base == "flow-betweenness":
-        raw = flow_betweenness(g, normalized=True).values
-        pairs = (n - 1) * (n - 2) if g.directed else (n - 1) * (n - 2) / 2
-        norm = [x / pairs for x in raw]
-        value = sum(max(norm) - x for x in norm) / (n - 1)
     else:
         raise GraphInputError(f"unknown centralization base {base!r}")
     return GraphMetricValue(f"{base}-gc", value)

@@ -195,5 +195,6 @@ def run_strategy(g: Graph, strategy_id: str, budget: int,
             + ", ".join(strategy_ids()))
     overrides = dict(overrides or {})
     overrides.pop("budget", None)
-    gp = GroupSelectParams(budget=max(budget, 1), **overrides)
+    # GroupSelectParams refuses a budget below 1 for every strategy
+    gp = GroupSelectParams(budget=budget, **overrides)
     return func(g, budget, gp)
