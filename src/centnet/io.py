@@ -2,10 +2,21 @@
 
 `parse_edge_list` reads `_CHUNK_CHARS` characters and the rest of the
 line at a time, checks all lines of a chunk with one match of a regular
-expression, and interns its label tokens into one int32 id stream
-(a chunk of short labels holds about 13 bytes per character). From the
-first chunk refused, the line loop reads on into the same labels and
-ids, so every graph and every error are its own; the file is read once.
+expression, and reads the file in three modes, each handing over to the
+next at the first chunk it refuses:
+
+- integer mode, while every edge line is two labels written as canonical
+  decimals of at most 9 digits (the SNAP convention): one
+  `np.fromstring` reads a chunk's labels as int32 values, and one table
+  or sort interns them all in order of first appearance once the mode
+  ends;
+- token chunks, while every line is printable ASCII with the same 2 or 3
+  columns: each label token is interned into one int32 id stream (a
+  chunk of short labels holds about 13 bytes per character);
+- the line loop, which reads the rest of the file.
+
+Each mode reads on into the labels and ids of the one before, so every
+graph and every error are the line loop's own; the file is read once.
 """
 
 from __future__ import annotations
@@ -94,61 +105,101 @@ def parse_edge_list(path, directed: bool = False,
 
 _CHUNK_CHARS = 1 << 11
 
-# Lines that the chunk path reads as the line loop would: each one blank,
-# a comment (its first character but spaces is '#' or '%') or k tokens of
-# printable ASCII split by spaces and commas. The possessive quantifiers
-# (*+, ++, ?+) never backtrack.
+# Lines that the chunk modes read as the line loop would: each one blank,
+# a comment (its first character but spaces is '#' or '%') or an edge
+# line of printable ASCII tokens split by spaces and commas. The
+# possessive quantifiers (*+, ++, ?+, {0,8}+) never backtrack.
 _SPACE, _SEP, _TOKEN = r"[ \t\x0b\x0c]", r"[ \t\x0b\x0c,]", r"[!-+\--~]"
-_CHUNK = {k: re.compile(
-    rf"(?: {_SPACE}*+ (?: [#%][ -~\t\x0b\x0c]*+ | {_SEP}*+ {_TOKEN}++"
-    rf" (?: {_SEP}++ {_TOKEN}++ ){{{k - 1}}} {_SEP}*+ )?+ \n )*+", re.X)
-    for k in (2, 3)}
+
+
+def _lines(row: str) -> re.Pattern:
+    """Whole lines, each blank, a comment or `row` between separators.
+    A bare `row` is tried first: the second branch matches it too, but
+    the first takes the common line in fewer steps."""
+    return re.compile(
+        rf"(?: {row} \n | {_SPACE}*+ (?: [#%][ -~\t\x0b\x0c]*+ | {_SEP}*+"
+        rf" {row} {_SEP}*+ )?+ \n )*+", re.X)
+
+
+# k tokens a line, for the token chunks
+_CHUNK = {k: _lines(rf"{_TOKEN}++ (?: {_SEP}++ {_TOKEN}++ ){{{k - 1}}}")
+          for k in (2, 3)}
+# Two labels a line, for the integer mode, each a canonical decimal of at
+# most 9 digits: str(int(t)) == t, and it fits an int32, where numpy reads
+# "4294967296" as int32 0 without a word.
+_INT = r"(?:[1-9][0-9]{0,8}+|0)"
+_INTS = _lines(rf"{_INT} {_SEP}++ {_INT}")
 _COMMENT = re.compile(r"^[ \t\x0b\x0c]*[#%].*", re.M)
+_NO_IDS = np.empty(0, np.int32)
 
 
 def _parse_chunks(fh, directed, coords, line_loop) -> Graph:
-    """The Graph of `fh`'s edges, read a chunk at a time while each chunk
+    """The Graph of `fh`'s edges, read a chunk at a time: first as int32
+    values while each chunk matches `_INTS`, then as tokens while each
     matches `_CHUNK` for the width of the edge lines before it and has
     positive finite weights. `line_loop` reads the first chunk refused
     and the rest, numbered on from its first line."""
-    label_to_id = defaultdict(count().__next__)
     weights, refused = array("d"), []
 
-    def labels():
-        """The label tokens of each chunk taken, in order."""
-        cols, lineno = 0, 1
+    def chunks():
+        """Each chunk's text, ending in a line end, and its first line."""
+        lineno = 1
         while text := fh.read(_CHUNK_CHARS):
             text += fh.readline()
-            lines = text if text.endswith("\n") else text + "\n"
-            k = cols or (3 if _CHUNK[3].fullmatch(lines) else 2)
-            if not _CHUNK[k].fullmatch(lines):
+            yield text if text.endswith("\n") else text + "\n", lineno
+            lineno += text.count("\n")
+
+    def int_pairs():
+        """The int32 values of each leading chunk of integer pairs."""
+        for text, lineno in stream:
+            if _INTS.fullmatch(text):
+                lines = _bare(text)
+                # numpy reads a chunk of spaces alone as [0]
+                values = _NO_IDS if lines.isspace() else \
+                    np.fromstring(lines, np.int32, sep=" ")
+                if values.size % 2 == 0:
+                    yield values
+                    continue
+            refused.append((text, lineno))
+            return
+
+    def tokens(cols):
+        """The label tokens of each chunk taken, in order, from the one
+        the integer mode refused on."""
+        taken = chain(refused[:], stream)
+        refused.clear()
+        for text, lineno in taken:
+            k = cols or (3 if _CHUNK[3].fullmatch(text) else 2)
+            if not _CHUNK[k].fullmatch(text):
                 break
-            if "#" in lines or "%" in lines:
-                lines = _COMMENT.sub("", lines)
-            tokens = lines.replace(",", " ").split()
-            cols = k if tokens else cols
+            labels = _bare(text).split()
+            cols = k if labels else cols
             if cols == 3:
                 try:
-                    w = array("d", map(float, tokens[2::3]))
+                    w = array("d", map(float, labels[2::3]))
                 except ValueError:      # a bad weight
                     break
                 if not all(0.0 < x < math.inf for x in w):
                     break
                 weights.extend(w)
-                del tokens[2::3]
-            yield tokens
-            lineno += text.count("\n")
-        if text:
-            refused.append((text, lineno))
+                del labels[2::3]
+            yield labels
+        else:
+            return
+        refused.append((text, lineno))
 
+    stream = chunks()
     try:
-        ids = np.fromiter(map(label_to_id.__getitem__,
-                              chain.from_iterable(labels())), np.int32)
+        ids, label_to_id = _first_appearance(
+            np.concatenate((_NO_IDS, *int_pairs())))
+        more = np.fromiter(map(label_to_id.__getitem__, chain.from_iterable(
+            tokens(2 if ids.size else 0))), np.int32)
     except UnicodeDecodeError:
         if not fh.seekable():
             raise
         fh.seek(0)      # the loop names a bad line before the bad bytes
         return build_graph(line_loop(fh, 1), directed, coordinates=coords)
+    ids = np.concatenate((ids, more))
     if refused:                         # the line loop reads on from it
         text, lineno = refused[0]
         weights = weights or array("d", [1.0]) * (ids.size // 2)
@@ -159,6 +210,39 @@ def _parse_chunks(fh, directed, coords, line_loop) -> Graph:
         np.broadcast_to(1.0, ids.size // 2)
     label_to_id.default_factory = None
     return _labelled_graph(label_to_id, ids, w, directed, coordinates=coords)
+
+
+def _bare(text: str) -> str:
+    """A matched chunk with its comments cut and its commas made spaces."""
+    if "#" in text or "%" in text:
+        text = _COMMENT.sub("", text)
+    return text.replace(",", " ")
+
+
+def _first_appearance(values):
+    """The int32 ids of `values`, numbered in order of first appearance,
+    and the label map str(value) -> id, which interns new labels on. A
+    table indexed by value takes the ids while the largest is below four
+    times the count, so that it stays within the file's size; a sort
+    takes any others."""
+    top = int(values.max(initial=-1))
+    if top < 4 * values.size:
+        at = np.arange(values.size, dtype=np.int32)
+        first = np.full(top + 1, values.size, np.int32)
+        np.minimum.at(first, values, at)
+        order = values[first[values] == at]     # each where it first appears
+        first[order] = at[:order.size]
+        ids = first[values]
+    else:
+        distinct, first, inverse = np.unique(values, return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(order.size, np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        ids, order = rank[inverse], distinct[order]
+    return ids, defaultdict(count(order.size).__next__,
+                            zip(map(str, order.tolist()), range(order.size)))
+
 
 @contextmanager
 def _reading(path):
@@ -207,6 +291,7 @@ def dataset_stats(g: Graph) -> DatasetStats:
 
 
 CSV_HEADER = "metric,phi,run,giant_frac,infected_frac,elapsed_ms"
+OUTPUT_FORMATS = ("csv", "json")
 
 
 def _fmt_phi(phi: float) -> str:
@@ -296,12 +381,22 @@ def load_config(path) -> ExperimentConfig:
             runs=attack_raw.get("runs", 1),
             rng_seed=attack_raw.get("rng_seed", 0),
         )
-        return ExperimentConfig(
+        config = ExperimentConfig(
             input_path=data["input_path"],
-            directed=bool(data.get("directed", False)),
+            directed=data.get("directed", False),
             attack=plan,
             output_path=data.get("output_path"),
             output_format=data.get("output_format", "csv"),
         )
     except KeyError as exc:
         raise GraphInputError(f"config {path} missing field {exc}") from exc
+    # bool("false") is True; a format emit_results cannot write is refused
+    # before the experiment runs, not after
+    if not isinstance(config.directed, bool):
+        raise GraphInputError(f"config {path}: directed must be true or "
+                              f"false, got {config.directed!r}")
+    if config.output_format not in OUTPUT_FORMATS:
+        raise GraphInputError(f"config {path}: output_format must be one of "
+                              f"{', '.join(OUTPUT_FORMATS)}, got "
+                              f"{config.output_format!r}")
+    return config

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,8 +49,45 @@ def _check(cond: bool, msg: str):
         raise GraphInputError(msg)
 
 
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+class _Params:
+    """What the parameter dataclasses share: construction from overrides
+    that refuses unknown names, and a check of each field's kind that
+    runs before any bound check compares a value. `_WHAT` names the
+    kind of parameter in errors."""
+
+    @classmethod
+    def field_names(cls) -> set[str]:
+        return {f.name for f in fields(cls)}
+
+    @classmethod
+    def from_overrides(cls, overrides: dict):
+        unknown = set(overrides) - cls.field_names()
+        if unknown:
+            raise GraphInputError(
+                f"unknown {cls._WHAT} parameter(s): "
+                f"{', '.join(sorted(unknown))}")
+        return cls(**overrides)
+
+    def _check_kinds(self):
+        """An int field takes a non-bool Integral and a float field a
+        non-bool Real; an optional one also takes None."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": Integral, "float": Real}.get(
+                f.type.removesuffix(" | None"))
+            if kind is None or (value is None and f.type.endswith("None")):
+                continue
+            _check(_is(value, kind), f"{f.name} must be "
+                   f"{'an integer' if kind is Integral else 'a number'}, "
+                   f"got {value!r}")
+
+
 @dataclass
-class MetricParams:
+class MetricParams(_Params):
     """Free parameters the metric formulas leave open.
 
     alpha/beta are interpreted per metric and default to the metric's
@@ -64,7 +102,7 @@ class MetricParams:
     q: float = 0.1                 # diffusion passing probability
     T: int = 10                    # diffusion iterations
     lambda_mdd: float = 0.7        # mixed degree decomposition weight
-    L: int = 3                     # L-betweenness path-length cap
+    L: float = 3                   # L-betweenness path-length cap (a length)
     delta_decay: float = 0.5       # residual/decay closeness base
     tol: float = 1e-10
     max_iter: int = 100000
@@ -75,7 +113,10 @@ class MetricParams:
     sample_count: int = 1000       # delta-hyperbolicity triples
     rng_seed: int = 0
 
+    _WHAT = "metric"
+
     def __post_init__(self):
+        self._check_kinds()
         _check(0.0 <= self.p <= 1.0, "p must lie in [0,1]")
         _check(0.0 < self.q <= 1.0, "q must lie in (0,1]")
         _check(0.0 <= self.lambda_mdd <= 1.0, "lambda_mdd must lie in [0,1]")
@@ -85,25 +126,18 @@ class MetricParams:
         for name in ("h", "T", "L", "si_steps", "si_runs",
                      "sample_count"):
             _check(getattr(self, name) >= 1, f"{name} must be >= 1")
-        if self.percolation_states is not None:
-            _check(all(0.0 <= x <= 1.0 for x in self.percolation_states),
+        states = self.percolation_states
+        if states is not None:
+            _check(isinstance(states, (list, tuple, np.ndarray)) and
+                   all(_is(x, Real) for x in states),
+                   f"percolation_states must be a list of numbers, "
+                   f"got {states!r}")
+            _check(all(0.0 <= x <= 1.0 for x in states),
                    "percolation states must lie in [0,1]")
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_overrides(cls, overrides: dict) -> "MetricParams":
-        unknown = set(overrides) - cls.field_names()
-        if unknown:
-            raise GraphInputError(
-                f"unknown metric parameter(s): {', '.join(sorted(unknown))}")
-        return cls(**overrides)
 
 
 @dataclass
-class GroupSelectParams:
+class GroupSelectParams(_Params):
     """Knobs for the seed-set selection strategies."""
 
     budget: int = 10           # paper's experiments select groups of 10
@@ -115,7 +149,10 @@ class GroupSelectParams:
     r: int = 2                 # punishment radius
     ell: int = 2               # collective-influence ball radius
 
+    _WHAT = "selection"
+
     def __post_init__(self):
+        self._check_kinds()
         _check(self.budget >= 1, "budget must be >= 1")
         _check(self.t_td >= 1, "t_td must be >= 1")
         _check(self.theta >= 0.0, "theta must be non-negative")

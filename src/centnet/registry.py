@@ -193,8 +193,7 @@ def run_strategy(g: Graph, strategy_id: str, budget: int,
         raise GraphInputError(
             f"unknown strategy {strategy_id!r}; valid ids: "
             + ", ".join(strategy_ids()))
-    overrides = dict(overrides or {})
-    overrides.pop("budget", None)
     # GroupSelectParams refuses a budget below 1 for every strategy
-    gp = GroupSelectParams(budget=budget, **overrides)
+    gp = GroupSelectParams.from_overrides({**(overrides or {}),
+                                           "budget": budget})
     return func(g, budget, gp)

@@ -9,6 +9,7 @@ from centnet import cli as cli_mod
 from centnet import globalmetrics
 from centnet import io as cio
 from centnet import registry
+from centnet.params import GroupSelectParams, MetricParams
 from centnet.resilience import AttackOutcome, run_experiment
 
 
@@ -273,6 +274,14 @@ class TestConfig:
         ({"input_path": "x", "metrics": 5, "attack": {}}, "sources"),
         ({"input_path": "x", "attack": {"sources": None}}, "sources"),
         ({"input_path": "x", "metrics": "degree", "attack": {}}, "sources"),
+        # bool("false") is True, and an unknown format used to be refused
+        # only after the whole experiment had run
+        ({"input_path": "x", "directed": "false", "attack": {}}, "directed"),
+        ({"input_path": "x", "directed": 0, "attack": {}}, "directed"),
+        ({"input_path": "x", "output_format": "jsn", "attack": {}},
+         "output_format"),
+        ({"input_path": "x", "output_format": ["csv"], "attack": {}},
+         "output_format"),
     ])
     def test_malformed_field(self, tmp_path, data, field):
         cfg = tmp_path / "cfg.json"
@@ -341,6 +350,44 @@ class TestCli:
                            "--param", f"{name}={value}"])
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    # a value of the wrong kind, and a selection parameter of unknown
+    # name, used to escape as a bare TypeError
+    @pytest.mark.parametrize("argv, name", [
+        (["centrality", "--metric", "pagerank", "--param", "tol=abc"], "tol"),
+        (["centrality", "--metric", "volume", "--param", "h=2.5"], "h"),
+        (["centrality", "--metric", "ahp", "--param", "si_runs=1.5"],
+         "si_runs"),
+        (["centrality", "--metric", "katz", "--param", "alpha=x"], "alpha"),
+        (["centrality", "--metric", "percolation", "--param",
+          'percolation_states=["a", 1, 1]'], "percolation_states"),
+        (["centrality", "--metric", "percolation", "--param",
+          "percolation_states=1"], "percolation_states"),
+        (["select", "--strategy", "collective-influence", "--budget", "2",
+          "--param", "ell=x"], "ell"),
+        (["select", "--strategy", "degree-discount", "--budget", "2",
+          "--param", "p=[0.5]"], "p"),
+        (["select", "--strategy", "degree-discount", "--budget", "2",
+          "--param", "zzz=1"], "zzz"),
+    ])
+    def test_malformed_param_exit1(self, p3_file, capsys, argv, name):
+        rc = cli_mod.main([argv[0], p3_file, *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err and name in captured.err
+
+    @pytest.mark.parametrize("cls, field", [
+        (MetricParams, "h"), (MetricParams, "rng_seed"), (MetricParams, "p"),
+        (GroupSelectParams, "budget"), (GroupSelectParams, "theta")])
+    def test_bool_is_not_a_number_param(self, cls, field):
+        with pytest.raises(GraphInputError, match=field):
+            cls(**{field: True})
+
+    def test_numpy_scalars_are_params(self):
+        import numpy as np
+        assert MetricParams(h=np.int64(3), p=np.float32(0.5), L=4.5).h == 3
+        assert GroupSelectParams(budget=np.int32(2), p=1).budget == 2
 
     def test_missing_file_exit1(self, capsys):
         assert cli_mod.main(["stats", "/does/not/exist.txt"]) == 1
