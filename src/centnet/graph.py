@@ -9,11 +9,11 @@ A `Graph` is read-only compressed rows (CSR arrays) of out- and
 in-neighbours. `build_graph` reads any iterable of edges once, checking
 each edge as it reads it and naming the first malformed one; it interns
 the labels in a dict as it goes and streams the ids into an int32 array.
-Its edge loop (`_edge_ids`) and its tail (`_labelled_graph`: isolated
-nodes, labels and coordinates, then `_from_arcs`) serve the chunked
-parse of `io` too. `_from_arcs` builds both row sets with one sort and
-frees each temporary once read: self-loops dropped, duplicates collapsed
-to their first occurrence, each row sorted by neighbour id.
+Its edge loop (`_edge_ids`) and its tail (`_labelled_graph`: labels and
+coordinates, then `_from_arcs`) serve the chunked parse of `io` too.
+`_from_arcs` builds both row sets with one sort and frees each temporary
+once read: self-loops dropped, duplicates collapsed to their first
+occurrence, each row sorted by neighbour id.
 `Graph.adjacency` wraps the out-rows, without a copy, as a scipy.sparse
 operator, which `components` (through scipy.sparse.csgraph) and the
 metrics read. `Graph.adj`, the out-rows as tuples, is derived only when
@@ -130,17 +130,21 @@ class Graph:
     `adj` gives the out-rows as tuples of (neighbour, weight) pairs,
     derived on first read (`reversed.adj` gives the in-rows). Only the
     tests, their oracles and the benchmark harness's arc count read it.
+
+    `_labels` holds the labels: None when the ids are the labels, a tuple
+    in id order, or, for a file that `io` reads wholly in integer mode,
+    the read-only int32 label values in id order, each label the str of
+    its value. `labels` and `_label_to_id` are built on first read.
     """
 
     n: int
     directed: bool
     out_csr: CSR
     in_csr: CSR           # the same object as out_csr when undirected
-    labels: tuple | None = None
     coords: tuple | None = None
     self_loops_dropped: int = 0
     duplicates_collapsed: int = 0
-    _label_to_id: dict = field(default_factory=dict, repr=False)
+    _labels: tuple | np.ndarray | None = field(default=None, repr=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -185,11 +189,28 @@ class Graph:
         """True when every weight is 1."""
         return self.adjacency(True) is self.adjacency(False)
 
+    @cached_property
+    def labels(self) -> tuple | None:
+        """The labels in id order; None when the ids are the labels."""
+        if isinstance(self._labels, np.ndarray):
+            return tuple(map(str, self._labels.tolist()))
+        return self._labels
+
+    @cached_property
+    def _label_to_id(self) -> dict:
+        return dict(zip(self.labels or (), range(self.n)))
+
     def label_of(self, v: int):
-        return self.labels[v] if self.labels is not None else v
+        if not 0 <= v < self.n:
+            raise IndexError(f"node id {v} is not in [0, {self.n})")
+        if isinstance(self._labels, np.ndarray):
+            return str(self._labels[v])
+        return v if self._labels is None else self._labels[v]
 
     def id_of(self, label) -> int:
-        if self.labels is None:
+        """The id of the node labelled `label`; KeyError if none is."""
+        if self._labels is None and isinstance(label, (int, np.integer)) \
+                and not isinstance(label, bool) and 0 <= label < self.n:
             return int(label)
         return self._label_to_id[label]
 
@@ -290,8 +311,14 @@ def build_graph(edges, directed: bool = False, isolated=(),
     label_to_id: dict = {}
     weights = array("d")
     ids = np.fromiter(_edge_ids(edges, label_to_id, weights), np.int32)
+    for lbl in isolated:
+        try:
+            label_to_id.setdefault(lbl, len(label_to_id))
+        except TypeError as exc:
+            raise GraphInputError(
+                f"isolated node {lbl!r}: labels must be hashable") from exc
     return _labelled_graph(label_to_id, ids, np.frombuffer(weights),
-                           directed, isolated, coordinates)
+                           directed, coordinates)
 
 
 def _edge_ids(edges, label_to_id: dict, weights):
@@ -315,24 +342,24 @@ def _edge_ids(edges, label_to_id: dict, weights):
         yield head
 
 
-def _labelled_graph(label_to_id: dict, ids, weights, directed: bool,
-                    isolated=(), coordinates=None) -> Graph:
+def _labelled_graph(labels, ids, weights, directed: bool,
+                    coordinates=None) -> Graph:
     """The Graph of the edges whose ends `ids` holds (tail, head, ...),
-    interned by `label_to_id`: the tail `build_graph` and the chunked
-    parse share, from the labels and isolated nodes to `_from_arcs`."""
-    intern = label_to_id.setdefault
-    for lbl in isolated:
-        try:
-            intern(lbl, len(label_to_id))
-        except TypeError as exc:
-            raise GraphInputError(
-                f"isolated node {lbl!r}: labels must be hashable") from exc
-    labels = list(label_to_id)
+    interned by the label map `labels` or numbered by the integer mode's
+    int32 label values in id order, which the Graph keeps as they are."""
+    n = len(labels)
+    if isinstance(labels, np.ndarray):
+        labels.flags.writeable = False
+        held = labels
+        if coordinates is not None:     # named by their decimal strs
+            labels = map(str, labels.tolist())
+    else:
+        held = labels = tuple(labels)
+        if all(lbl == i for i, lbl in enumerate(labels)):
+            held = None
     coords = None if coordinates is None else _coords(coordinates, labels)
-    plain = all(lbl == i for i, lbl in enumerate(labels))
-    return _from_arcs(len(labels), directed, ids[0::2], ids[1::2], weights,
-                      labels=None if plain else tuple(labels), coords=coords,
-                      _label_to_id=label_to_id if not plain else {})
+    return _from_arcs(n, directed, ids[0::2], ids[1::2], weights,
+                      coords=coords, _labels=held)
 
 
 def _malformed(idx: int, e) -> GraphInputError:

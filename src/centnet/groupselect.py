@@ -106,8 +106,10 @@ def degree_distance(g: Graph, params: GroupSelectParams | None = None,
         steps.append(SelectionStep(v, s, g.n - len(seeds) - int(ok.sum())))
         seeds.append(v)
         is_seed[v] = True
-        seed_dist[v] = shortest_paths(g, v).dist
-        nearest = np.minimum(nearest, seed_dist[v])
+        dist = shortest_paths(g, v).dist
+        if variant == "sidd":       # the one variant that reads it
+            seed_dist[v] = dist
+        nearest = np.minimum(nearest, dist)
     return SelectionResult(seeds, steps, "budget")
 
 

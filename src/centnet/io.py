@@ -8,8 +8,8 @@ next at the first chunk it refuses:
 - integer mode, while every edge line is two labels written as canonical
   decimals of at most 9 digits (the SNAP convention): one
   `np.fromstring` reads a chunk's labels as int32 values, and one table
-  or sort interns them all in order of first appearance once the mode
-  ends;
+  or sort numbers them in order of first appearance: the graph keeps
+  these int32 values, or the next mode interns on into a label map;
 - token chunks, while every line is printable ASCII with the same 2 or 3
   columns: each label token is interned into one int32 id stream (a
   chunk of short labels holds about 13 bytes per character);
@@ -190,9 +190,12 @@ def _parse_chunks(fh, directed, coords, line_loop) -> Graph:
 
     stream = chunks()
     try:
-        ids, label_to_id = _first_appearance(
+        ids, labels = _first_appearance(
             np.concatenate((_NO_IDS, *int_pairs())))
-        more = np.fromiter(map(label_to_id.__getitem__, chain.from_iterable(
+        if refused:     # the next modes intern on (else they read nothing)
+            labels = defaultdict(count(labels.size).__next__,
+                                 zip(map(str, labels.tolist()), count()))
+        more = np.fromiter(map(labels.__getitem__, chain.from_iterable(
             tokens(2 if ids.size else 0))), np.int32)
     except UnicodeDecodeError:
         if not fh.seekable():
@@ -204,12 +207,11 @@ def _parse_chunks(fh, directed, coords, line_loop) -> Graph:
         text, lineno = refused[0]
         weights = weights or array("d", [1.0]) * (ids.size // 2)
         rest = line_loop(chain(StringIO(text), fh), lineno)
-        tail = np.fromiter(_edge_ids(rest, label_to_id, weights), np.int32)
+        tail = np.fromiter(_edge_ids(rest, labels, weights), np.int32)
         ids = np.concatenate((ids, tail))
     w = np.frombuffer(weights) if weights else \
         np.broadcast_to(1.0, ids.size // 2)
-    label_to_id.default_factory = None
-    return _labelled_graph(label_to_id, ids, w, directed, coordinates=coords)
+    return _labelled_graph(labels, ids, w, directed, coordinates=coords)
 
 
 def _bare(text: str) -> str:
@@ -221,10 +223,9 @@ def _bare(text: str) -> str:
 
 def _first_appearance(values):
     """The int32 ids of `values`, numbered in order of first appearance,
-    and the label map str(value) -> id, which interns new labels on. A
-    table indexed by value takes the ids while the largest is below four
-    times the count, so that it stays within the file's size; a sort
-    takes any others."""
+    and the distinct values in id order. A table indexed by value takes
+    the ids while the largest is below four times the count, so that it
+    stays within the file's size; a sort takes any others."""
     top = int(values.max(initial=-1))
     if top < 4 * values.size:
         at = np.arange(values.size, dtype=np.int32)
@@ -240,8 +241,7 @@ def _first_appearance(values):
         rank = np.empty(order.size, np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)
         ids, order = rank[inverse], distinct[order]
-    return ids, defaultdict(count(order.size).__next__,
-                            zip(map(str, order.tolist()), range(order.size)))
+    return ids, order
 
 
 @contextmanager

@@ -57,6 +57,10 @@ class AttackPlan:
         if self.kind == "random":
             self.kind = "non-infectious"
             self.sources = ["random"]
+        names = [_source_name(source) for source in self.sources]
+        for i, name in enumerate(names):    # rows are keyed by name
+            if name in names[:i]:
+                raise GraphInputError(f"two sources are named {name!r}")
 
 
 @dataclass

@@ -2,7 +2,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+
+import oracles
 
 from centnet import AttackPlan, GraphInputError, build_graph
 from centnet import cli as cli_mod
@@ -113,8 +116,10 @@ class TestParseEdgeList:
             cio.parse_edge_list(p3_file, coords_path=str(cf))
 
     @staticmethod
-    def _parse_peak_per_line(tmp_path) -> float:
-        """Traced peak bytes per line of parsing the BA n=2e4 file."""
+    def _traced_per_line(tmp_path) -> tuple:
+        """Traced bytes per line of parsing the BA n=2e4 file: the peak,
+        those held after the parse, and those held after reading the
+        label of node 0."""
         from _synth import ba_edges
         f = tmp_path / "ba.txt"
         edges = ba_edges(20000, 3, 1)
@@ -123,23 +128,118 @@ class TestParseEdgeList:
         tracemalloc.start()
         try:
             g = cio.parse_edge_list(str(f))
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
+            assert g.label_of(0) == "3"     # the first line's tail
+            read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert g.m + g.duplicates_collapsed == 59991
-        return peak / 59991
+        return peak / 59991, held / 59991, read / 59991
 
     def test_parse_peak_memory_per_line(self, tmp_path):
         # the parse holds no line and no edge tuple beyond the one it
         # reads: under 300 traced bytes a line, where holding every line
         # and every edge took over 430
-        assert self._parse_peak_per_line(tmp_path) < 300
+        assert self._traced_per_line(tmp_path)[0] < 300
 
     def test_build_peak_memory_per_line(self, tmp_path):
         # the build streams int32 ids and frees each temporary once read:
         # under 140 traced bytes a line, about twice what the finished
         # graph holds, where the int64 temporaries peaked at 213
-        assert self._parse_peak_per_line(tmp_path) < 140
+        assert self._traced_per_line(tmp_path)[0] < 140
+
+    def test_held_memory_per_line(self, tmp_path):
+        # an integer-labelled file hands the graph its int32 label
+        # values: no str per node and no label map, after the parse or
+        # after one label is read. Under 40 traced bytes a line, where
+        # the labels tuple and map held 66
+        _, held, read = self._traced_per_line(tmp_path)
+        assert held < 40 and read < 40
+
+
+def _assert_same_labels(g, h):
+    """Equal graphs, and equal labels through every accessor."""
+    assert (g.n, g.directed, g.coords) == (h.n, h.directed, h.coords)
+    assert (g.self_loops_dropped, g.duplicates_collapsed) == \
+        (h.self_loops_dropped, h.duplicates_collapsed)
+    for a, b in ((g.out_csr, h.out_csr), (g.in_csr, h.in_csr)):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert [g.label_of(v) for v in range(g.n)] == list(h.labels)
+    assert g.labels == h.labels and g._label_to_id == h._label_to_id
+    assert [g.id_of(lbl) for lbl in h.labels] == list(range(h.n))
+
+
+def _int_lines(k: int) -> str:
+    """k edge lines of integer labels, over several parse chunks."""
+    return "".join(f"{(7 * i) % 500 + 3} {(11 * i) % 300}\n"
+                   for i in range(k))
+
+
+class TestLabelForms:
+    """The three label forms of a Graph: ids as labels, a tuple of
+    labels, and the integer mode's int32 label values."""
+
+    def test_integer_file(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(_int_lines(3000))
+        _assert_same_labels(cio.parse_edge_list(f),
+                            build_graph(oracles.parse_edge_lines(f)))
+
+    def test_integer_then_tokens_then_weights(self, tmp_path):
+        # the integer mode hands over to the token chunks, which intern
+        # into a label map, and they to the line loop on the weighted line
+        f = tmp_path / "g.txt"
+        f.write_text(_int_lines(3000) + "a 1\n" * 400 + "5 b 2.5\n7 x\n")
+        _assert_same_labels(cio.parse_edge_list(f),
+                            build_graph(oracles.parse_edge_lines(f)))
+
+    def test_integer_file_with_coords(self, tmp_path):
+        f, cf = tmp_path / "g.txt", tmp_path / "g.xy"
+        f.write_text(_int_lines(3000))
+        xy = {str(v): (float(v), v / 2) for v in range(600)}
+        cf.write_text("".join(f"{v} {x!r} {y!r}\n"
+                              for v, (x, y) in xy.items()))
+        g = cio.parse_edge_list(f, coords_path=cf)
+        h = build_graph(oracles.parse_edge_lines(f), coordinates=xy)
+        assert g.coords is not None
+        _assert_same_labels(g, h)
+
+    def test_integer_file_directed_reversed(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(_int_lines(3000))
+        g = cio.parse_edge_list(f, directed=True)
+        h = build_graph(oracles.parse_edge_lines(f), directed=True)
+        _assert_same_labels(g.reversed, h.reversed)
+        _assert_same_labels(g, h)
+
+    @pytest.fixture(params=["ids", "tuple", "integer-mode"])
+    def form(self, request, tmp_path):
+        """(graph, labels that name no node) of each label form."""
+        if request.param == "ids":
+            return build_graph([(0, 1), (1, 2)]), \
+                ("5", 2.7, True, 5, 3, -1, "1", None)
+        if request.param == "tuple":
+            return build_graph([("a", "b"), ("b", "c")]), \
+                ("d", 5, -1, True, 0)
+        f = tmp_path / "g.txt"
+        f.write_text("7 3\n3 9\n")
+        return cio.parse_edge_list(f), ("5", 7, "07", 3.0, True, 0, "0")
+
+    def test_id_of_refuses_what_names_no_node(self, form):
+        g, absent = form
+        for label in absent:
+            with pytest.raises(KeyError):
+                g.id_of(label)
+        assert [g.id_of(g.label_of(v)) for v in range(g.n)] == [0, 1, 2]
+
+    def test_label_of_refuses_ids_outside_the_graph(self, form):
+        g, _ = form
+        for v in (3, 4, -1, -3, -4):
+            with pytest.raises(IndexError):
+                g.label_of(v)
+        assert [g.label_of(np.int64(v)) for v in range(3)] == \
+            [g.label_of(v) for v in range(3)]
 
 
 class TestDatasetStats:
@@ -282,6 +382,14 @@ class TestConfig:
          "output_format"),
         ({"input_path": "x", "output_format": ["csv"], "attack": {}},
          "output_format"),
+        # rows are keyed by the source's name: two sources of one name
+        # ran both and were averaged together as if they were two runs
+        ({"input_path": "x", "metrics": ["degree", {"metric": "degree"}],
+          "attack": {}}, "sources"),
+        ({"input_path": "x", "attack": {"sources": [
+            {"metric": "pagerank", "params": {"alpha": 0.5}},
+            {"metric": "pagerank", "params": {"alpha": 0.95}}]}},
+         "sources"),
     ])
     def test_malformed_field(self, tmp_path, data, field):
         cfg = tmp_path / "cfg.json"
@@ -515,6 +623,19 @@ class TestCli:
         assert "selection[degree-distance]: stop_reason infeasible, " \
             "2 budget slots padded in id order" in err.splitlines()
         assert "padded" not in out and "infeasible" not in out
+
+    def test_attack_refuses_sources_of_one_name(self, tmp_path, p3_file,
+                                                capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input_path": p3_file,
+            "metrics": [{"metric": "pagerank", "params": {"alpha": 0.5}},
+                        {"metric": "pagerank", "params": {"alpha": 0.95}}],
+            "attack": {"kind": "non-infectious", "phi_grid": [0.1]}}))
+        assert cli_mod.main(["attack", "--config", str(cfg)]) == \
+            cli_mod.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and "'pagerank'" in err
 
     def test_bench_schema_stable(self, p3_file, capsys):
         for repeat in ("1", "3"):

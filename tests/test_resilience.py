@@ -315,6 +315,19 @@ class TestRunExperiment:
         giant = components(g).giant_size / g.n
         assert all(r.giant_fraction == giant for r in res.rows)
 
+    @pytest.mark.parametrize("sources", [
+        [{"metric": "pagerank", "params": {"alpha": 0.5}},
+         {"metric": "pagerank", "params": {"alpha": 0.95}}],
+        ["degree", {"metric": "degree"}],
+        [{"strategy": "single-discount"}, "single-discount"],
+    ])
+    def test_sources_of_one_name_refused(self, sources):
+        # rows and the summary are keyed by the source's name: both
+        # sources used to run, and the summary averaged them together as
+        # if they were two runs
+        with pytest.raises(GraphInputError, match="two sources"):
+            AttackPlan("non-infectious", sources, [0.1])
+
     @pytest.mark.parametrize("grid", ["1", "15", 0.5])
     def test_phi_grid_must_be_a_list(self, grid):
         # a string used to be read one character at a time: "1" gave
